@@ -82,6 +82,13 @@ class SSDConfig:
     def __post_init__(self) -> None:
         if self.n_elements <= 0:
             raise ValueError("n_elements must be positive")
+        if self.gang_size is not None and (
+                self.gang_size <= 0 or self.n_elements % self.gang_size):
+            raise ValueError(
+                f"gang_size={self.gang_size} must be a positive divisor of "
+                f"n_elements={self.n_elements} (or None for one gang of "
+                "all elements)"
+            )
         if self.ftl_type not in FTL_TYPES:
             raise ValueError(f"ftl_type must be one of {FTL_TYPES}")
         if self.write_buffer not in BUFFER_TYPES:

@@ -276,11 +276,6 @@ class FlashElement:
         return wait
 
     @property
-    def busy_us_by_tag(self) -> dict[str, float]:
-        """Busy time per accounting tag (snapshot view of the accumulators)."""
-        return {tag: acc[0] for tag, acc in self._accum.items()}
-
-    @property
     def ops_by_tag(self) -> dict[str, int]:
         """Completed op count per accounting tag."""
         return {tag: acc[1] for tag, acc in self._accum.items()}
@@ -525,10 +520,113 @@ class FlashElement:
                     self._page_copy_us)
         return True
 
-    # ------------------------------------------------------------------
+    def rewrite_row(
+        self,
+        old_row: int,
+        new_row: int,
+        lpn: int,
+        covered: range,
+        partial: tuple,
+        tag: str,
+        callback: Optional[Callable[[float], None]],
+    ) -> tuple[int, int]:
+        """This element's share of a stripe read-modify-write: every valid
+        page of *old_row* moves to the same local page of the erased
+        *new_row*, merged with a host write covering the local pages in
+        *covered* (those in *partial* only partly).
 
-    def free_pages_in_block(self, block: int) -> int:
-        return self.geometry.pages_per_block - self._wp[block]
+        Equals, op for op, visiting the local pages in ascending order and
+        calling ``read_page`` / ``invalidate_state`` / ``program_page`` on
+        each: an uncovered valid page is read and reprogrammed, a partly
+        covered valid page is read for the merge, and every covered page is
+        programmed; every op carries *callback* and the programmed pages
+        are tagged *lpn*.  The state transitions are numpy row operations;
+        the ops enter the FIFO from one loop that accumulates
+        ``drain_at_us`` and ``_queued_us`` op by op, so the clock stays
+        bit-identical to per-page issue.  A fault-free element only (no
+        read-retry or program-failure draws).  Returns ``(pages read,
+        pages programmed)``."""
+        if self.fault_model is not None or self.strict_program_order:
+            raise FlashStateError(
+                f"element {self.element_id}: row rewrite needs a fault-free "
+                "element with relaxed program order"
+            )
+        ps = self.page_state
+        valid = ps[old_row] == PageState.VALID
+        prog = valid.copy()
+        prog[covered.start:covered.stop] = True
+        programs = int(np.count_nonzero(prog))
+        if not programs:
+            return 0, 0
+        taken = prog & (ps[new_row] != PageState.FREE)
+        if taken.any():
+            self.program_state(new_row, int(taken.argmax()), lpn,
+                               op="rewrite", tag=tag)  # raises with detail
+        read = valid.copy()
+        read[covered.start:covered.stop] = False
+        for local in partial:
+            read[local] = valid[local]
+        reads = int(np.count_nonzero(read))
+
+        rl = self.reverse_lpn
+        moved = int(np.count_nonzero(valid))
+        if moved:
+            ps[old_row, valid] = PageState.INVALID
+            rl[old_row, valid] = -1
+            self._vc[old_row] -= moved
+        ps[new_row, prog] = PageState.VALID
+        rl[new_row, prog] = lpn
+        self._vc[new_row] += programs
+        end = len(prog) - int(prog[::-1].argmax())
+        if end > self._wp[new_row]:
+            self._wp[new_row] = end
+        sim = self.sim
+        self._mt[new_row] = sim.now
+        self.pages_read += reads
+        self.pages_programmed += programs
+
+        # issue order: per local page, its read (if any) before its program
+        codes = (np.flatnonzero(np.column_stack((read, prog))) & 1).tolist()
+        kinds = (OpKind.READ, OpKind.PROGRAM)
+        durations = (self._page_read_us, self._page_program_us)
+        nbytes = self._page_bytes
+        accum = self._accum
+        acc = accum.get(tag)
+        if acc is None:
+            acc = accum[tag] = [0.0, 0]
+        pool = self._op_pool
+        queue = self._queue
+        queued = self._queued_us
+        drain_at = self.drain_at_us
+        idle = self._inflight is None
+        for code in codes:
+            duration = durations[code]
+            if pool:
+                op = pool.pop()
+                op.kind = kinds[code]
+                op.nbytes = nbytes
+                op.tag = tag
+                op.callback = callback
+                op.duration_us = duration
+            else:
+                op = FlashOp(kinds[code], nbytes, tag, callback, duration)
+                op._pooled = True
+            op.acc = acc
+            if idle:
+                idle = False
+                self._inflight = op
+                drain_at = sim.now + duration
+                self._inflight_done_at = drain_at
+                sim.reschedule(self._drain, drain_at)
+            else:
+                queue.append(op)
+                queued += duration
+                drain_at += duration
+        self._queued_us = queued
+        self.drain_at_us = drain_at
+        return reads, programs
+
+    # ------------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

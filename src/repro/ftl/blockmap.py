@@ -27,6 +27,7 @@ attached directly to the flash op — the same fast-path architecture as
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -158,13 +159,76 @@ class BlockMappedFTL(StripeFTLBase):
     ) -> None:
         """The read-modify-erase-write cycle of §3.4.
 
-        Surviving pages move by copy-back (same element, same local page);
-        partially-overwritten pages need a real read to merge with host
-        bytes; fully-overwritten pages are programmed directly.  The old
-        stripe is erased in the background afterwards.
+        Surviving pages are read out and reprogrammed at the same position
+        of a freshly erased stripe; partially-overwritten pages need a real
+        read to merge with host bytes; fully-overwritten pages are
+        programmed directly.  The old stripe is erased in the background
+        afterwards.
+
+        Each gang element does its share in one
+        :meth:`FlashElement.rewrite_row` call.  That equals the page-major
+        loop of :meth:`_rmw_per_page` exactly: each element's FIFO gets the
+        same ops in the same order, and the elements are visited in the
+        order their first op comes up page-major, so idle elements draw
+        their drain-event seqs in the same order too.  Gangs carrying a
+        fault model keep the per-page loop, because a failed program must
+        be rescued at its place in the global issue order.
         """
-        fp = self.geometry.page_bytes
         new_row = self._alloc_row(gang)
+        shards = self.shards
+        elements = self.elements[gang * shards:(gang + 1) * shards]
+        if any(el.fault_model is not None for el in elements):
+            new_row = self._rmw_per_page(gang, slot, old_row, new_row, a, b,
+                                         join, tag)
+        else:
+            fp = self.geometry.page_bytes
+            ppb = self.geometry.pages_per_block
+            p0, p1 = a // fp, (b - 1) // fp
+            partial = [p for p in sorted({p0, p1})
+                       if a > p * fp or b < (p + 1) * fp]
+            shares = []
+            for j, el in enumerate(elements):
+                # covered local pages, then the local page of the element's
+                # first op (its stripe page orders the elements below)
+                lo = (p0 - j + shards - 1) // shards
+                hi = max(lo, (p1 - j) // shards + 1)
+                if lo == 0 < hi or el.page_state[old_row, 0] == PageState.VALID:
+                    first = 0
+                else:
+                    valid = np.flatnonzero(el.page_state[old_row] == PageState.VALID)
+                    first = min(int(valid[0]) if valid.size else ppb,
+                                lo if lo < hi else ppb)
+                part = tuple(p // shards for p in partial if p % shards == j)
+                shares.append((first * shards + j, el, range(lo, hi), part))
+            shares.sort(key=itemgetter(0))
+            callback = join.child_done
+            reads = programs = 0
+            for _, el, covered, part in shares:
+                r, w = el.rewrite_row(old_row, new_row, slot, covered, part,
+                                      tag, callback)
+                reads += r
+                programs += w
+            join.expect(reads + programs)
+            self.stats.rmw_pages_read += reads
+            self.stats.flash_pages_programmed += programs
+        self._maps[gang][slot] = new_row
+        self._retire_row(gang, old_row)
+
+    def _rmw_per_page(
+        self,
+        gang: int,
+        slot: int,
+        old_row: int,
+        new_row: int,
+        a: int,
+        b: int,
+        join: CompletionJoin,
+        tag: str,
+    ) -> int:
+        """:meth:`_rmw` one stripe page at a time, in page-major order,
+        rescuing failed programs as they happen; returns the row the stripe
+        ended up in."""
+        fp = self.geometry.page_bytes
         for p in range(self.pages_per_stripe):
             el, local = self._element(gang, p)
             state = el.page_state[old_row, local]
@@ -200,8 +264,7 @@ class BlockMappedFTL(StripeFTLBase):
             new_row = self._program_with_rescue(
                 gang, new_row, p, slot, tag, join.child_done
             )
-        self._maps[gang][slot] = new_row
-        self._retire_row(gang, old_row)
+        return new_row
 
     def read(
         self,

@@ -406,21 +406,55 @@ class TestFaultsOffUnperturbed:
         assert all(el.fault_model is None for el in ssd.elements)
         assert not ssd.ftl.faults_enabled
 
-    def test_zero_probability_faults_do_not_move_the_clock(self):
+    @pytest.mark.parametrize("ftl_type", ["pagemap", "blockmap", "hybrid"])
+    def test_zero_probability_faults_do_not_move_the_clock(self, ftl_type):
         """An attached model that never fires must not perturb timing:
-        draws happen off the op clock, so the run is bit-identical."""
+        draws happen off the op clock, so the run is bit-identical.  An
+        attached model also sends the block-mapped read-modify-write down
+        its per-page reference loop instead of the batched row rewrite, so
+        this pins the batched path against the per-page one."""
         def run(faults):
             sim = Simulator()
             ssd = SSD(sim, SSDConfig(n_elements=2,
                                      geometry=small_geometry(),
+                                     ftl_type=ftl_type,
                                      faults=faults))
+            stripe = 2 * 16 * 4096
+            region = min(ssd.capacity_bytes, 12 * stripe)
             rng = random.Random(9)
-            pages = ssd.capacity_bytes // 4096
-            for _ in range(200):
-                run_io(sim, ssd, OpType.WRITE, rng.randrange(pages) * 4096,
-                       4 * KIB)
-            return sim.now, ssd.ftl.stats.flash_pages_programmed
+            done = []
+            for _ in range(100):
+                for _ in range(4):
+                    shape = rng.randrange(7)
+                    op = OpType.READ if shape == 6 else OpType.WRITE
+                    if shape == 0:    # sub-page
+                        size, offset = 512, rng.randrange(region // 512) * 512
+                    elif shape == 1:  # sub-page, may straddle a page
+                        size = 2 * KIB
+                        offset = rng.randrange((region - size) // 512) * 512
+                    elif shape == 2:  # page-straddling
+                        size = 4 * KIB
+                        offset = rng.randrange(region // 4096 - 1) * 4096 + 2048
+                    elif shape == 3:  # multi-page
+                        size = rng.choice((2, 3, 5)) * 4096
+                        offset = rng.randrange(region // 4096 - 5) * 4096
+                    elif shape == 4:  # whole stripe
+                        size = stripe
+                        offset = rng.randrange(region // stripe) * stripe
+                    else:             # 4 KB, or a read
+                        size = 4 * KIB
+                        offset = rng.randrange(region // 4096) * 4096
+                    ssd.submit(IORequest(op, offset, size,
+                                         on_complete=done.append))
+                sim.run_until_idle()
+            assert len(done) == 400
+            ssd.ftl.check_consistency()
+            return (sim.now, sim.events_run, ssd.ftl.stats.as_dict(),
+                    [(el.busy_us(), el.ops_by_tag) for el in ssd.elements])
 
         baseline = run(None)
         armed = run(FaultConfig(enabled=True, seed=5))
         assert armed == baseline
+        assert baseline[2]["host_writes"] > 300
+        if ftl_type == "blockmap":
+            assert baseline[2]["rmw_pages_read"] > 0

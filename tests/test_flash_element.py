@@ -215,3 +215,88 @@ class TestCopyPage:
         assert el.page_state[1, 0] == PageState.VALID
         assert el.reverse_lpn[1, 0] == 42
         assert el.reverse_lpn[0, 0] == -1
+
+
+class TestRewriteRow:
+    """``rewrite_row`` against the per-page read/invalidate/program
+    sequence a stripe read-modify-write would otherwise issue."""
+
+    COVERED = range(3, 6)
+    PARTIAL = (3,)
+
+    @staticmethod
+    def _aged(busy):
+        sim = Simulator()
+        geom = FlashGeometry(page_bytes=4096, pages_per_block=8,
+                             blocks_per_element=16)
+        # S2slc's shared gang bus: durations whose float sums round
+        timing = FlashTiming.slc().scaled(bus_mb_per_s=40.0 / 8)
+        el = FlashElement(sim, geom, timing, element_id=3)
+        el.strict_program_order = False
+        # old row 0: valid {0, 1, 3, 5, 6}, invalid {2}, free {4, 7}
+        for page in (0, 1, 2, 3, 5, 6):
+            el.program_state(0, page, lpn=9)
+        el.invalidate_state(0, 2)
+        # an off-grid clock and odd-sized queued ops make the float sums
+        # sensitive to the order the durations are added in
+        sim.schedule(0.3, lambda: None)
+        sim.run_until_idle()
+        if busy:
+            for nbytes in (1000, 3001, 777):
+                el.enqueue(FlashOp(OpKind.READ, nbytes))
+        return sim, el
+
+    @staticmethod
+    def _per_page(el, old_row, new_row, lpn, covered, partial, done):
+        for local in range(el.geometry.pages_per_block):
+            valid = el.page_state[old_row, local] == PageState.VALID
+            if local not in covered:
+                if valid:
+                    el.read_page(old_row, local, callback=done)
+                    el.invalidate_state(old_row, local)
+                    el.program_page(new_row, local, lpn, callback=done)
+                continue
+            if valid:
+                if local in partial:
+                    el.read_page(old_row, local, callback=done)
+                el.invalidate_state(old_row, local)
+            el.program_page(new_row, local, lpn, callback=done)
+
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_matches_per_page_issue(self, busy):
+        sim_a, batched = self._aged(busy)
+        sim_b, reference = self._aged(busy)
+        done_a, done_b = [], []
+        counts = batched.rewrite_row(0, 5, 9, self.COVERED, self.PARTIAL,
+                                     "host", done_a.append)
+        self._per_page(reference, 0, 5, 9, self.COVERED, self.PARTIAL,
+                       done_b.append)
+        # reads: uncovered valid {0, 1, 6} + partial valid {3}; programs:
+        # uncovered valid {0, 1, 6} + covered {3, 4, 5}
+        assert counts == (4, 6)
+        for name in ("page_state", "reverse_lpn", "valid_count", "write_ptr",
+                     "block_mtime"):
+            assert (getattr(batched, name) == getattr(reference, name)).all()
+        for name in ("pages_read", "pages_programmed", "drain_at_us",
+                     "_queued_us"):
+            assert getattr(batched, name) == getattr(reference, name)
+        assert ([(op.kind, op.duration_us) for op in batched._queue]
+                == [(op.kind, op.duration_us) for op in reference._queue])
+        assert batched._drain.time == reference._drain.time
+        sim_a.run_until_idle()
+        sim_b.run_until_idle()
+        assert (sim_a.now, sim_a.events_run) == (sim_b.now, sim_b.events_run)
+        assert done_a == done_b and len(done_a) == 10
+        assert batched.ops_by_tag == reference.ops_by_tag
+        assert batched.busy_us() == reference.busy_us()
+
+    def test_rejects_a_destination_row_that_is_not_erased(self):
+        _sim, el = self._aged(busy=False)
+        el.program_state(5, 4, lpn=1)
+        before = el.page_state.copy()
+        with pytest.raises(FlashStateError,
+                           match=r"element 3: rewrite .* page \(5, 4\)"):
+            el.rewrite_row(0, 5, 9, self.COVERED, self.PARTIAL, "host", None)
+        # the check runs before any transition or issue
+        assert (el.page_state == before).all()
+        assert el.idle and el.pages_read == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.flash.element import FlashElement, PageState
+from repro.flash.faults import FaultConfig, FaultModel
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.ftl.blockmap import BlockMappedFTL
@@ -102,6 +103,41 @@ class TestWritePaths:
         # the partially-covered page is read for merge, the rest survive
         assert ftl.stats.rmw_pages_read == ftl.pages_per_stripe
         ftl.check_consistency()
+
+
+class TestBatchedRMW:
+    """The batched row rewrite against the per-page reference loop, which
+    an attached (here never-firing) fault model selects."""
+
+    def _after_rmw(self, reference):
+        sim, ftl = make_ftl(n_elements=2, pages=4)
+        # a stripe with holes: page 1 (element 1, local 0) and page 2
+        # (element 0, local 1) are live, so element 1's first RMW op comes
+        # up before element 0's in page-major order
+        ftl.write(1 * KB4, KB4)
+        ftl.write(2 * KB4, KB4)
+        sim.run_until_idle()
+        if reference:
+            for el in ftl.elements:
+                el.fault_model = FaultModel(FaultConfig(), el.element_id)
+        # a partial overwrite of page 1: both idle elements start with a
+        # read due at the same instant, so their drain seqs break the tie
+        ftl.write(1 * KB4 + 1024, 2048)
+        drains = [(el._drain.time, el._drain.seq) for el in ftl.elements]
+        queues = [[(op.kind, op.duration_us) for op in el._queue]
+                  for el in ftl.elements]
+        sim.run_until_idle()
+        ftl.check_consistency()
+        return (drains, queues, sim.now, sim.events_run, ftl.stats.as_dict(),
+                [(el.busy_us(), el.ops_by_tag) for el in ftl.elements])
+
+    def test_matches_the_per_page_reference(self):
+        batched = self._after_rmw(reference=False)
+        assert batched == self._after_rmw(reference=True)
+        drains = batched[0]
+        assert drains[0][0] == drains[1][0]
+        assert drains[1][1] < drains[0][1]  # page-major, not element order
+        assert batched[4]["rmw_pages_read"] == 2
 
 
 class TestReads:

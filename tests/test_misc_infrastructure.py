@@ -97,6 +97,13 @@ class TestConfigValidation:
             SSDConfig(max_inflight=0)
         with pytest.raises(ValueError):
             SSDConfig(controller_overhead_us=-1)
+        # gang_size: rejected for every FTL type, pagemap included
+        for ftl_type in ("pagemap", "blockmap", "hybrid"):
+            for gang_size in (0, -2, 3):
+                with pytest.raises(ValueError,
+                                   match="positive divisor of n_elements"):
+                    SSDConfig(n_elements=4, ftl_type=ftl_type,
+                              gang_size=gang_size)
 
     def test_cleaning_config_rejects_bad_watermarks(self):
         with pytest.raises(ValueError):
