@@ -94,18 +94,6 @@ class HybridLogBlockFTL(StripeFTLBase):
         self._log_fill[gang] += 1
         return row, pos
 
-    def _current_location(
-        self, gang: int, slot: int, p: int
-    ) -> Optional[Tuple[int, int]]:
-        """Newest copy of stripe page *p* of *slot* as (block_row, local) on
-        its (possibly non-home) element, or None if the page holds no data.
-        Returns the element explicitly via the second helper below."""
-        entry = self._log_index[gang].get((slot, p))
-        if entry is not None:
-            lrow, lpos = entry
-            return lrow, lpos
-        return None
-
     def _invalidate_current(self, gang: int, slot: int, p: int) -> None:
         """Invalidate whatever copy (log or data row) currently holds page
         *p* of *slot*, if any."""

@@ -10,22 +10,36 @@ leave the device exactly as if the fill had been simulated:
 
 ``overwrite_fraction`` performs a second pass of random logical-page
 rewrites so invalid pages scatter across blocks — the steady state a real
-aged device is in.
+aged device is in.  The pass draws every rewrite first, then ages one
+element at a time.  That is exact because elements are independent during
+aging: an element's map slots, write frontier, free-block pool, free count
+and victim choice are its own, and no rewrite or clean on one element reads
+another's state (the only shared writes are the additive
+``stats.blocks_retired`` count and the allocation epoch, taken once at the
+end).  So walking each element's rewrites in draw order leaves the same
+state as walking all rewrites in draw order.  The zero-time cleans move a
+victim's valid pages as one numpy run per destination block.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from itertools import repeat
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.flash.element import PageState
+from repro.ftl.base import _ALLOC_EPOCH
 from repro.ftl.blockmap import BlockMappedFTL
 from repro.ftl.hybrid import HybridLogBlockFTL
 from repro.ftl.pagemap import PageMappedFTL
 
 __all__ = ["prefill_pagemap", "prefill_stripe_ftl"]
+
+_FREE, _VALID, _INVALID = (
+    int(PageState.FREE), int(PageState.VALID), int(PageState.INVALID)
+)
 
 
 def prefill_pagemap(
@@ -90,60 +104,131 @@ def prefill_pagemap(
     if overwrite_fraction > 0.0 and count > 0:
         rng = rng if rng is not None else random.Random(0)
         rewrites = int(overwrite_fraction * count)
+        # every draw first, in the per-rewrite order, so the rng ends in the
+        # same state; then each element ages on its own (module docstring)
+        lpns = np.fromiter(map(rng.randrange, repeat(count, rewrites)),
+                           dtype=np.int64, count=rewrites)
+        gangs = lpns % ftl.n_gangs
+        slots = lpns // ftl.n_gangs
         # steady-state floor: just above the cleaner's low watermark (where
-        # a live device hovers); loop-invariant, hoisted out of the rewrites
+        # a live device hovers)
         floor = max(
             ftl.reserve_pages,
             ftl.cleaner.low_watermark_pages + geom.pages_per_block,
         )
-        randrange = rng.randrange
-        maps = ftl._maps
-        elements = ftl.elements
-        shards = ftl.shards
-        free_pages = ftl.free_pages
-        allocate_page = ftl.allocate_page
-        block_of, page_of, page_index = (
-            geom.block_of, geom.page_of, geom.page_index
-        )
-        for _ in range(rewrites):
-            lpn = randrange(count)
-            gang = lpn % ftl.n_gangs
-            slot = lpn // ftl.n_gangs
-            for j in range(shards):
-                e_idx = gang * shards + j
-                el = elements[e_idx]
-                while free_pages(e_idx) <= floor:
-                    if not _instant_clean(ftl, e_idx):
-                        raise ValueError(
-                            f"element {e_idx}: nothing reclaimable during "
-                            "prefill (reduce fill_fraction)"
-                        )
-                old = int(maps[e_idx][slot])
-                el.invalidate_state(block_of(old), page_of(old))
-                block, page = allocate_page(e_idx)
-                el.program_state(block, page, slot)
-                maps[e_idx][slot] = page_index(block, page)
+        for gang in range(ftl.n_gangs):
+            gang_slots = slots[gangs == gang].tolist()
+            for j in range(ftl.shards):
+                _age_element(ftl, gang * ftl.shards + j, gang_slots, floor)
+        ftl.alloc_epoch = _ALLOC_EPOCH()
     return count
 
 
-def _instant_clean(ftl: PageMappedFTL, e_idx: int) -> bool:
-    """One zero-time greedy clean: state transitions only, no events.
+def _age_element(ftl: PageMappedFTL, e_idx: int, slots: List[int],
+                 floor: int) -> None:
+    """Rewrite *slots* in order on element *e_idx*, keeping its free count
+    above *floor* with instant cleans.
 
-    Used exclusively during warmup; the timed cleaner in
-    :mod:`repro.ftl.cleaning` does the same work on the clock.
+    Equals, page for page, ``invalidate_state`` on the old copy,
+    ``allocate_page`` and ``program_state`` on the hot frontier: the same
+    checks run inline on flat views of the element's arrays, and the
+    methods are called only to raise their detailed errors.  The in-order
+    program check holds by construction (the page is the frontier's write
+    pointer).
+    """
+    el = ftl.elements[e_idx]
+    ppb = ftl._ppb
+    ps = memoryview(el.page_state.reshape(-1))
+    rl = memoryview(el.reverse_lpn.reshape(-1))
+    vc, wp, mt = el._vc, el._wp, el._mt
+    mapv = ftl._mapv[e_idx]
+    frontiers = ftl._frontier[e_idx]
+    free = ftl._free
+    now = ftl.sim.now
+    frontier = frontiers.get("hot", -1)
+    programmed = 0
+    try:
+        for slot in slots:
+            while free[e_idx] <= floor:
+                if not _instant_clean(ftl, e_idx):
+                    raise ValueError(
+                        f"element {e_idx}: nothing reclaimable during "
+                        "prefill (reduce fill_fraction)"
+                    )
+                frontier = frontiers.get("hot", -1)
+            old = mapv[slot]
+            if ps[old] != _VALID:
+                el.invalidate_state(old // ppb, old % ppb)  # raises
+            ps[old] = _INVALID
+            rl[old] = -1
+            vc[old // ppb] -= 1
+            if frontier < 0 or wp[frontier] >= ppb:
+                frontier = ftl._pull_block(e_idx, "hot")
+                frontiers["hot"] = frontier
+            free[e_idx] -= 1
+            page = wp[frontier]
+            ppn = frontier * ppb + page
+            if ps[ppn] != _FREE:
+                el.program_state(frontier, page, slot)  # raises
+            ps[ppn] = _VALID
+            rl[ppn] = slot
+            vc[frontier] += 1
+            wp[frontier] = page + 1
+            mt[frontier] = now
+            mapv[slot] = ppn
+            programmed += 1
+    finally:
+        el.pages_programmed += programmed
+
+
+def _instant_clean(ftl: PageMappedFTL, e_idx: int) -> bool:
+    """One zero-time clean: state transitions only, no events.
+
+    The victim's valid pages move in one numpy step per destination run:
+    the frontier's remainder, then blocks pulled exactly when per-page
+    allocation would pull them.  Used only during warmup; the timed
+    cleaner in :mod:`repro.ftl.cleaning` does the same work on the clock.
     """
     victim = ftl.cleaner.select_victim(e_idx)
     if victim < 0:
         return False
     el = ftl.elements[e_idx]
-    geom = ftl.geometry
-    pages = np.nonzero(el.page_state[victim] == PageState.VALID)[0]
-    for page in pages:
-        slot = int(el.reverse_lpn[victim, int(page)])
-        el.invalidate_state(victim, int(page))
-        block, new_page = ftl.allocate_page(e_idx, for_cleaning=True)
-        el.program_state(block, new_page, slot)
-        ftl.map_for(e_idx)[slot] = geom.page_index(block, new_page)
+    ppb = ftl._ppb
+    page_state, reverse_lpn = el.page_state, el.reverse_lpn
+    valid = page_state[victim] == _VALID
+    slots = reverse_lpn[victim][valid]
+    moved = len(slots)
+    page_state[victim][valid] = _INVALID
+    reverse_lpn[victim][valid] = -1
+    el._vc[victim] -= moved
+    wp = el._wp
+    emap = ftl._maps[e_idx]
+    frontiers = ftl._frontier[e_idx]
+    done = 0
+    while done < moved:
+        frontier = frontiers.get("hot", -1)
+        if frontier < 0 or wp[frontier] >= ppb:
+            frontier = ftl._pull_block(e_idx, "hot")
+            frontiers["hot"] = frontier
+        start = wp[frontier]
+        take = min(ppb - start, moved - done)
+        end = start + take
+        dst = page_state[frontier, start:end]
+        if np.count_nonzero(dst):  # FREE is 0: some destination is taken
+            busy = int(np.flatnonzero(dst)[0])
+            el.program_state(frontier, start + busy,
+                             int(slots[done + busy]))  # raises
+        run = slots[done:done + take]
+        dst[:] = _VALID
+        reverse_lpn[frontier, start:end] = run
+        el._vc[frontier] += take
+        wp[frontier] = end
+        el._mt[frontier] = ftl.sim.now
+        base = frontier * ppb
+        emap[run] = np.arange(base + start, base + end)
+        ftl._free[e_idx] -= take
+        el.pages_programmed += take
+        done += take
     el.erase_state(victim)
     ftl.release_block(e_idx, victim)
     return True

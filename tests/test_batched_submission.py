@@ -18,8 +18,10 @@ Pins the PR 5 tentpole contracts:
    resets the host-visible fields; a recycled request replays cleanly.
 4. **Vectorized prefill equivalence** — ``prefill_pagemap`` and
    ``prefill_stripe_ftl`` leave state byte-identical to the seed's
-   per-block reference loops (kept verbatim below), including partial
-   tail blocks, overwrite scatter, and partially-mapped stripe maps.
+   per-block and per-page reference loops (kept verbatim below, with the
+   seed's per-page instant clean), including partial tail blocks,
+   overwrite scatter under every pull and victim policy, pool internals,
+   the rng's end state, and partially-mapped stripe maps.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from repro.flash.timing import FlashTiming
 from repro.ftl.blockmap import BlockMappedFTL
 from repro.ftl.hybrid import HybridLogBlockFTL
 from repro.ftl.pagemap import PageMappedFTL
-from repro.ftl.prefill import _instant_clean, prefill_pagemap, prefill_stripe_ftl
+from repro.ftl.cleaning import CleaningConfig
+from repro.ftl.prefill import prefill_pagemap, prefill_stripe_ftl
+from repro.ftl.wearlevel import WearConfig
 from repro.sim.engine import Simulator
 from repro.traces.record import TraceOp, TraceRecord
 from repro.traces.synthetic import SyntheticConfig, iter_synthetic
@@ -231,6 +235,29 @@ class TestRequestPool:
 # 4: vectorized prefill vs the seed's per-block reference loops
 # ---------------------------------------------------------------------------
 
+def _instant_clean(ftl, e_idx):
+    """One zero-time greedy clean: state transitions only, no events.
+
+    Used exclusively during warmup; the timed cleaner in
+    :mod:`repro.ftl.cleaning` does the same work on the clock.
+    """
+    victim = ftl.cleaner.select_victim(e_idx)
+    if victim < 0:
+        return False
+    el = ftl.elements[e_idx]
+    geom = ftl.geometry
+    pages = np.nonzero(el.page_state[victim] == PageState.VALID)[0]
+    for page in pages:
+        slot = int(el.reverse_lpn[victim, int(page)])
+        el.invalidate_state(victim, int(page))
+        block, new_page = ftl.allocate_page(e_idx, for_cleaning=True)
+        el.program_state(block, new_page, slot)
+        ftl.map_for(e_idx)[slot] = geom.page_index(block, new_page)
+    el.erase_state(victim)
+    ftl.release_block(e_idx, victim)
+    return True
+
+
 def _reference_prefill_pagemap(ftl, fill_fraction, overwrite_fraction=0.0,
                                rng=None):
     """The seed's per-block implementation, kept verbatim as the oracle."""
@@ -300,14 +327,18 @@ def _reference_prefill_stripe(ftl, fill_fraction):
     return count
 
 
-def _pagemap(lp=None, blocks=64, pages=16):
+def _pagemap(lp=None, blocks=64, pages=16, spare_fraction=0.15, now=0.0,
+             **ftl_kwargs):
     sim = Simulator()
+    if now:
+        sim.schedule(now, lambda: None)
+        sim.run()
     geom = FlashGeometry(page_bytes=KB4, pages_per_block=pages,
                          blocks_per_element=blocks)
     elements = [FlashElement(sim, geom, FlashTiming.slc(), element_id=i)
                 for i in range(4)]
     return PageMappedFTL(sim, elements, logical_page_bytes=lp,
-                         spare_fraction=0.15)
+                         spare_fraction=spare_fraction, **ftl_kwargs)
 
 
 def _stripe(kind):
@@ -329,31 +360,72 @@ def _assert_same_state(a, b):
         assert (el_a.valid_count == el_b.valid_count).all()
         assert (el_a.write_ptr == el_b.write_ptr).all()
         assert (el_a.erase_count == el_b.erase_count).all()
+        assert (el_a.block_mtime == el_b.block_mtime).all()
+        assert (el_a.retired == el_b.retired).all()
+        assert el_a.pages_programmed == el_b.pages_programmed
+        assert el_a.erases_performed == el_b.erases_performed
     for map_a, map_b in zip(a._maps, b._maps):
         assert (map_a == map_b).all()
     for pool_a, pool_b in zip(a._pool, b._pool):
         assert list(pool_a) == list(pool_b)
+        assert pool_a._order[pool_a._head:] == pool_b._order[pool_b._head:]
+        assert sorted(pool_a._minh) == sorted(pool_b._minh)
+        assert sorted(pool_a._maxh) == sorted(pool_b._maxh)
+        assert pool_a._seq == pool_b._seq
 
 
 class TestPrefillVectorizationEquivalence:
-    @pytest.mark.parametrize("lp,fill,overwrite", [
-        (None, 0.9, 0.0),
-        (None, 0.37, 0.0),   # partial tail block
-        (None, 0.9, 0.4),    # overwrite scatter + instant cleans
-        (8192, 0.9, 0.3),    # striped logical pages (shards=2)
+    @pytest.mark.parametrize("lp,fill,overwrite,kwargs", [
+        pytest.param(None, 0.9, 0.0, {}, id="None-0.9-0.0"),
+        # partial tail block
+        pytest.param(None, 0.37, 0.0, {}, id="None-0.37-0.0"),
+        # overwrite scatter + instant cleans
+        pytest.param(None, 0.9, 0.4, {}, id="None-0.9-0.4"),
+        # striped logical pages (shards=2)
+        pytest.param(8192, 0.9, 0.3, {}, id="8192-0.9-0.3"),
+        # wear policies off: frontier blocks come from pop_lifo
+        pytest.param(None, 0.9, 0.5, {"wear": WearConfig(dynamic=False)},
+                     id="lifo"),
+        # 8-page blocks: cleans often end with the frontier exactly full,
+        # and the next LIFO pull must see the victim already re-pooled
+        pytest.param(None, 0.9, 0.5, {"wear": WearConfig(dynamic=False),
+                                      "pages": 8, "blocks": 128},
+                     id="lifo-8page"),
+        pytest.param(None, 0.9, 0.5,
+                     {"cleaning": CleaningConfig(policy="cost_benefit")},
+                     id="cost_benefit"),
+        # mid-run prefill: block_mtime stamps and cost-benefit ages move
+        pytest.param(None, 0.85, 0.6, {"now": 1234.5}, id="now"),
+        pytest.param(None, 0.85, 0.6,
+                     {"now": 1234.5,
+                      "cleaning": CleaningConfig(policy="cost_benefit")},
+                     id="now-cost_benefit"),
     ])
-    def test_pagemap_matches_reference(self, lp, fill, overwrite):
-        vectorized, reference = _pagemap(lp), _pagemap(lp)
+    def test_pagemap_matches_reference(self, lp, fill, overwrite, kwargs):
+        vectorized, reference = _pagemap(lp, **kwargs), _pagemap(lp, **kwargs)
+        rng_v, rng_r = random.Random(5), random.Random(5)
         n_v = prefill_pagemap(vectorized, fill, overwrite_fraction=overwrite,
-                              rng=random.Random(5))
+                              rng=rng_v)
         n_r = _reference_prefill_pagemap(reference, fill,
                                          overwrite_fraction=overwrite,
-                                         rng=random.Random(5))
+                                         rng=rng_r)
         assert n_v == n_r
+        assert rng_v.getstate() == rng_r.getstate()
         assert vectorized._free == reference._free
         assert vectorized._frontier == reference._frontier
+        assert vectorized.stats.blocks_retired == reference.stats.blocks_retired
         _assert_same_state(vectorized, reference)
         vectorized.check_consistency()
+
+    def test_pagemap_nothing_reclaimable_raises(self):
+        """With almost no spare area a full device cannot clean its way
+        back above the floor.  Which element gives out first depends on
+        the aging order, so only the type and message shape are pinned."""
+        ftl = _pagemap(spare_fraction=0.05)
+        with pytest.raises(ValueError, match=r"^element \d+: nothing "
+                           r"reclaimable during prefill"):
+            prefill_pagemap(ftl, 1.0, overwrite_fraction=0.5,
+                            rng=random.Random(5))
 
     @pytest.mark.parametrize("kind", ["blockmap", "hybrid"])
     def test_stripe_matches_reference(self, kind):
