@@ -2,7 +2,7 @@
 
 Three deterministic closed-loop scenarios drive a page-mapped FTL directly
 (no host link / scheduler in the way) so the measured cost is the command
-execution fast path itself — `FlashOp` issue, element FIFO, event loop,
+execution fast path itself — flash command issue, element FIFO, event loop,
 completion joining, allocation, and cleaning:
 
 * ``pure_write``      — random 4 KB overwrite churn (programs + steady GC)

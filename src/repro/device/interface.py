@@ -54,8 +54,7 @@ class IORequest:
     Instances are plain value objects and may be constructed directly, but
     steady-state drivers should recycle them through an
     :class:`IORequestPool` (``REQUEST_POOL`` is the shared default): a
-    replay then allocates no request objects at all, the same slab
-    discipline the flash layer applies to ``FlashOp``.  ``__slots__`` (via
+    replay then allocates no request objects at all.  ``__slots__`` (via
     the dataclass) keeps the instance compact and attribute access cheap.
     """
 
@@ -156,17 +155,16 @@ class IORequest:
 class IORequestPool:
     """Slab-recycled :class:`IORequest` allocator.
 
-    Mirrors the per-element ``FlashOp`` slab of PR 1: ``acquire`` pops a
-    recycled instance (or constructs one when the slab is dry) and
-    ``release`` returns it.  The contract is driver-owned: release a request
-    only after its completion callback has run — every device model invokes
-    ``on_complete`` as its final touch of the request, so inside that
-    callback the object is already free.  Device-internal dispatch plumbing
-    (``seq``/``queued``/``early_release``/admission memo) is restamped on
-    every submit, so a recycled request needs no scrubbing beyond the
-    host-visible fields; the reusable dispatch event (``_ev``) is
-    deliberately retained, which is what makes a pooled replay allocate no
-    per-dispatch events either.
+    ``acquire`` pops a recycled instance (or constructs one when the slab
+    is dry) and ``release`` returns it.  The contract is driver-owned:
+    release a request only after its completion callback has run — every
+    device model invokes ``on_complete`` as its final touch of the request,
+    so inside that callback the object is already free.  Device-internal
+    dispatch plumbing (``seq``/``queued``/``early_release``/admission memo)
+    is restamped on every submit, so a recycled request needs no scrubbing
+    beyond the host-visible fields; the reusable dispatch event (``_ev``)
+    is deliberately retained, which is what makes a pooled replay allocate
+    no per-dispatch events either.
 
     **Lifetime**: the retained dispatch adapters bind the device that last
     dispatched each request, so a pool's slab keeps that device's whole

@@ -2,18 +2,19 @@
 
 The element plays two roles:
 
-1. **Timed executor.**  Commands (:class:`repro.flash.ops.FlashOp`) are
-   enqueued FIFO and executed one at a time — a flash die can only do one
-   array operation at once.  Completion callbacks fire on the simulator
-   clock.  ``queue_wait_us()`` exposes the estimated wait, which is exactly
-   the quantity the paper's SWTF scheduler (§3.2) ranks requests by.
+1. **Timed executor.**  Commands are enqueued FIFO and executed one at a
+   time — a flash die can only do one array operation at once.  Completion
+   callbacks fire on the simulator clock.  ``queue_wait_us()`` exposes the
+   estimated wait, which is exactly the quantity the paper's SWTF scheduler
+   (§3.2) ranks requests by.
 
    The executor is built for throughput: the FIFO is a ``deque`` (O(1) at
-   both ends), completions are realized by a single reusable *drain* event
-   per element (no per-op Event allocation), ops are recycled through a
-   per-element free list, durations come from a memoized per-(kind, size)
-   cache, and per-tag busy accounting uses accumulator cells bound at
-   enqueue time instead of dict updates per completion.
+   both ends) of plain ``(duration_us, acc, callback)`` tuples — no op
+   object per command — and completions are realized by a single reusable
+   *drain* event per element (no per-op Event allocation).  Durations come
+   from a memoized per-(kind, size) cache, and per-tag busy accounting uses
+   the accumulator cell ``acc`` bound into each entry at issue instead of
+   dict updates per completion.
 
 2. **Physical page state machine.**  Every physical page is FREE → VALID →
    INVALID → (erase) → FREE.  State transitions are *synchronous* — the FTL
@@ -31,6 +32,9 @@ stays cheap.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from heapq import heappush
+from operator import add, itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,6 +45,9 @@ from repro.flash.timing import FlashTiming
 from repro.sim.engine import Event, Simulator
 
 __all__ = ["PageState", "FlashElement", "FlashStateError"]
+
+#: a FIFO entry's duration
+_duration = itemgetter(0)
 
 
 class FlashStateError(RuntimeError):
@@ -66,7 +73,7 @@ class FlashElement:
         "erase_count", "block_mtime", "retired",
         "_ps", "_rl", "_vc", "_wp", "_ec", "_mt", "_rt",
         "_queue", "_inflight", "_inflight_done_at", "_queued_us",
-        "drain_at_us", "_op_pool", "_drain",
+        "drain_at_us", "_drain",
         "_page_bytes", "_page_read_us", "_page_program_us",
         "_erase_cmd_us", "_page_copy_us",
         "_accum", "erases_performed", "pages_programmed", "pages_read",
@@ -115,9 +122,10 @@ class FlashElement:
         self._mt = memoryview(self.block_mtime)
         self._rt = memoryview(self.retired)
 
-        # timed-executor state
-        self._queue: deque[FlashOp] = deque()
-        self._inflight: Optional[FlashOp] = None
+        # timed-executor state: FIFO entries are (duration_us, acc,
+        # callback) tuples, acc being the tag's accumulator cell
+        self._queue: deque[tuple] = deque()
+        self._inflight: Optional[tuple] = None
         self._inflight_done_at: float = 0.0
         self._queued_us: float = 0.0  # total duration of queued (not inflight) ops
         #: absolute simulated time at which everything currently enqueued
@@ -128,8 +136,6 @@ class FlashElement:
         #: element's queue wait.  Monotonically non-decreasing, which is the
         #: property the SWTF scheduler's lazy heap relies on.
         self.drain_at_us: float = 0.0
-        #: recycled FlashOp instances (slab; see module docstring of ops)
-        self._op_pool: list[FlashOp] = []
         #: the one drain event realizing this element's FIFO on the clock
         self._drain = Event(0.0, -1, self._on_drain, ())
         self._drain.alive = False
@@ -142,7 +148,7 @@ class FlashElement:
         self._erase_cmd_us = timing.duration_us(OpKind.ERASE, 0)
         self._page_copy_us = timing.duration_us(OpKind.COPY, page_bytes)
 
-        # accounting: tag -> [busy_us, op_count]; ops hold their cell
+        # accounting: tag -> [busy_us, op_count]; FIFO entries hold their cell
         self._accum: dict[str, list] = {}
         self.erases_performed = 0
         self.pages_programmed = 0
@@ -168,86 +174,63 @@ class FlashElement:
     # ------------------------------------------------------------------
 
     def enqueue(self, op: FlashOp) -> None:
-        """Queue a command for serial execution on this element."""
-        op.duration_us = self.timing.duration_us(op.kind, op.nbytes)
-        self._submit(op)
+        """Queue a command for serial execution on this element.
 
-    def _submit(self, op: FlashOp) -> None:
-        accum = self._accum
-        acc = accum.get(op.tag)
-        if acc is None:
-            acc = accum[op.tag] = [0.0, 0]
-        op.acc = acc
-        if self._inflight is None:
-            self._inflight = op
-            done_at = self.sim.now + op.duration_us
-            self._inflight_done_at = done_at
-            self.drain_at_us = done_at
-            self.sim.reschedule(self._drain, done_at)
-        else:
-            self._queue.append(op)
-            self._queued_us += op.duration_us
-            self.drain_at_us += op.duration_us
+        Only ``op.duration_us`` is written; the FIFO holds an entry built
+        from the op, never the op itself."""
+        duration = self.timing.duration_us(op.kind, op.nbytes)
+        op.duration_us = duration
+        self._issue(duration, op.tag, op.callback)
 
-    def _issue(self, kind: OpKind, nbytes: int, tag: str,
-               callback: Optional[Callable[[float], None]],
-               duration_us: float) -> None:
-        """Issue an internally-built (recyclable) op; hot path.
-
-        Body mirrors :meth:`_submit` with the slab acquire fused in — this
-        runs once per flash command, so the extra call layer is worth
-        eliding.
-        """
-        pool = self._op_pool
-        if pool:
-            op = pool.pop()
-            op.kind = kind
-            op.nbytes = nbytes
-            op.tag = tag
-            op.callback = callback
-            op.duration_us = duration_us
-        else:
-            op = FlashOp(kind, nbytes, tag, callback, duration_us)
-            op._pooled = True
+    def _issue(self, duration_us: float, tag: str,
+               callback: Optional[Callable[[float], None]]) -> None:
+        """Queue one ``(duration_us, acc, callback)`` entry; hot path."""
         accum = self._accum
         acc = accum.get(tag)
         if acc is None:
             acc = accum[tag] = [0.0, 0]
-        op.acc = acc
+        entry = (duration_us, acc, callback)
         if self._inflight is None:
-            self._inflight = op
+            self._inflight = entry
             done_at = self.sim.now + duration_us
             self._inflight_done_at = done_at
             self.drain_at_us = done_at
             self.sim.reschedule(self._drain, done_at)
         else:
-            self._queue.append(op)
+            self._queue.append(entry)
             self._queued_us += duration_us
             self.drain_at_us += duration_us
 
     def _on_drain(self) -> None:
         """The in-flight command finished: account, start the next, notify."""
-        op = self._inflight
-        acc = op.acc
-        acc[0] += op.duration_us
+        duration, acc, callback = self._inflight
+        acc[0] += duration
         acc[1] += 1
+        sim = self.sim
         queue = self._queue
         if queue:
             nxt = queue.popleft()
-            self._queued_us -= nxt.duration_us
+            duration = nxt[0]
+            self._queued_us -= duration
             self._inflight = nxt
-            done_at = self.sim.now + nxt.duration_us
+            done_at = sim.now + duration
             self._inflight_done_at = done_at
-            self.sim.reschedule(self._drain, done_at)
+            # Simulator.reschedule inlined (the one place that does; see
+            # the engine's design notes): durations are >= 0, so the
+            # past-time check cannot fire, and the seq is drawn before the
+            # callback below runs, exactly as the method would
+            seq = sim._seq
+            sim._seq = seq + 1
+            drain = self._drain
+            drain.time = done_at
+            drain.seq = seq
+            drain.alive = True
+            heappush(sim._heap, (done_at, seq, drain))
+            sim._alive += 1
         else:
             self._inflight = None
-        callback = op.callback
-        if op._pooled:
-            op.callback = None
-            op.acc = None
-            self._op_pool.append(op)
         if callback is not None:
-            callback(self.sim.now)
+            callback(sim.now)
         if self._inflight is None and not queue and self.on_idle is not None:
             self.on_idle()
 
@@ -387,7 +370,6 @@ class FlashElement:
             self.read_state_check(block, page, tag=tag)  # raises with detail
         self.pages_read += 1
         if nbytes is None or nbytes == self._page_bytes:
-            nbytes = self._page_bytes
             duration = self._page_read_us
         else:
             duration = self.timing.duration_us(OpKind.READ, nbytes)
@@ -399,7 +381,7 @@ class FlashElement:
                 # with shifted thresholds, paying escalating latency
                 self.read_retries += steps
                 duration += fm.retry_penalty_us(steps)
-        self._issue(OpKind.READ, nbytes, tag, callback, duration)
+        self._issue(duration, tag, callback)
 
     def program_page(
         self,
@@ -424,7 +406,6 @@ class FlashElement:
         if self.strict_program_order and page != write_ptr:
             self.program_state(block, page, lpn, tag=tag)  # raises with detail
         if nbytes is None or nbytes == self._page_bytes:
-            nbytes = self._page_bytes
             duration = self._page_program_us
         else:
             duration = self.timing.duration_us(OpKind.PROGRAM, nbytes)
@@ -433,7 +414,7 @@ class FlashElement:
             ps[block, page] = 2  # PageState.INVALID: burned
             if page >= write_ptr:
                 wp[block] = page + 1
-            self._issue(OpKind.PROGRAM, nbytes, tag, None, duration)
+            self._issue(duration, tag, None)
             return False
         ps[block, page] = 1  # PageState.VALID
         self._rl[block, page] = lpn
@@ -442,7 +423,7 @@ class FlashElement:
             wp[block] = page + 1
         self._mt[block] = self.sim.now
         self.pages_programmed += 1
-        self._issue(OpKind.PROGRAM, nbytes, tag, callback, duration)
+        self._issue(duration, tag, callback)
         return True
 
     def erase_block(
@@ -461,10 +442,10 @@ class FlashElement:
             if self._vc[block] != 0:
                 self.erase_state(block, tag=tag)  # raises with full detail
             self._rt[block] = True
-            self._issue(OpKind.ERASE, 0, tag, callback, self._erase_cmd_us)
+            self._issue(self._erase_cmd_us, tag, callback)
             return False
         self.erase_state(block, tag=tag)
-        self._issue(OpKind.ERASE, 0, tag, callback, self._erase_cmd_us)
+        self._issue(self._erase_cmd_us, tag, callback)
         return True
 
     def copy_page(
@@ -494,8 +475,7 @@ class FlashElement:
             # always be retried from the still-valid source page
             self._burn_page(dst_block, dst_page, "copy", tag)
             self.pages_read += 1
-            self._issue(OpKind.COPY, self._page_bytes, tag, None,
-                        self._page_copy_us)
+            self._issue(self._page_copy_us, tag, None)
             return False
         rl = self._rl
         ps[src_block, src_page] = 2  # PageState.INVALID
@@ -516,8 +496,7 @@ class FlashElement:
         self._mt[dst_block] = self.sim.now
         self.pages_programmed += 1
         self.pages_read += 1
-        self._issue(OpKind.COPY, self._page_bytes, tag, callback,
-                    self._page_copy_us)
+        self._issue(self._page_copy_us, tag, callback)
         return True
 
     def rewrite_row(
@@ -539,45 +518,69 @@ class FlashElement:
         calling ``read_page`` / ``invalidate_state`` / ``program_page`` on
         each: an uncovered valid page is read and reprogrammed, a partly
         covered valid page is read for the merge, and every covered page is
-        programmed; every op carries *callback* and the programmed pages
-        are tagged *lpn*.  The state transitions are numpy row operations;
-        the ops enter the FIFO from one loop that accumulates
-        ``drain_at_us`` and ``_queued_us`` op by op, so the clock stays
-        bit-identical to per-page issue.  A fault-free element only (no
-        read-retry or program-failure draws).  Returns ``(pages read,
+        programmed; the programmed pages are tagged *lpn*.  Only the share's
+        last op carries *callback*: the FIFO is serial, so it fires once, at
+        the instant per-page issue would fire its last callback.  The old
+        row's states are read once, as a list: every op of a kind is one
+        shared FIFO entry, so the share is built from counts of valid pages
+        around the covered ones.  The state transitions are numpy row writes
+        (whole-row slices when every page moves), and the durations are
+        added to ``_queued_us`` and ``drain_at_us`` op by op, so the clock
+        stays bit-identical to per-page issue.  A fault-free element only
+        (no read-retry or program-failure draws).  Returns ``(pages read,
         pages programmed)``."""
         if self.fault_model is not None or self.strict_program_order:
             raise FlashStateError(
                 f"element {self.element_id}: row rewrite needs a fault-free "
                 "element with relaxed program order"
             )
+        accum = self._accum
+        acc = accum.get(tag)
+        if acc is None:
+            acc = accum[tag] = [0.0, 0]
+        read_op = (self._page_read_us, acc, None)
+        program_op = (self._page_program_us, acc, None)
         ps = self.page_state
-        valid = ps[old_row] == PageState.VALID
-        prog = valid.copy()
-        prog[covered.start:covered.stop] = True
-        programs = int(np.count_nonzero(prog))
+        states = ps[old_row].tolist()
+        ppb = len(states)
+        moved = states.count(1)  # PageState.VALID
+        lo, hi = covered.start, covered.stop
+        programs = moved + (hi - lo) - states[lo:hi].count(1)
         if not programs:
             return 0, 0
-        taken = prog & (ps[new_row] != PageState.FREE)
-        if taken.any():
-            self.program_state(new_row, int(taken.argmax()), lpn,
-                               op="rewrite", tag=tag)  # raises with detail
-        read = valid.copy()
-        read[covered.start:covered.stop] = False
-        for local in partial:
-            read[local] = valid[local]
-        reads = int(np.count_nonzero(read))
+        # all ops of a kind are the same entry, so outside the covered
+        # pages the share is one (read, program) pair per valid page
+        pair = [read_op, program_op]
+        entries = pair * states[:lo].count(1)
+        for local in covered:
+            if states[local] == 1 and local in partial:
+                entries.append(read_op)
+            entries.append(program_op)
+        entries += pair * states[hi:].count(1)
+        reads = len(entries) - programs
+        dest = ps[new_row].tolist()
+        if dest.count(0) != ppb:  # PageState.FREE: not an erased row
+            for local, state in enumerate(states):
+                if dest[local] != 0 and (state == 1 or lo <= local < hi):
+                    self.program_state(new_row, local, lpn, op="rewrite",
+                                       tag=tag)  # raises with detail
+        # the pages that change state: a whole row as a slice
+        everything = slice(None)
+        valid = everything if moved == ppb else [
+            local for local, state in enumerate(states) if state == 1]
+        programmed = everything if programs == ppb else [
+            local for local, state in enumerate(states)
+            if state == 1 or lo <= local < hi]
 
         rl = self.reverse_lpn
-        moved = int(np.count_nonzero(valid))
         if moved:
             ps[old_row, valid] = PageState.INVALID
             rl[old_row, valid] = -1
             self._vc[old_row] -= moved
-        ps[new_row, prog] = PageState.VALID
-        rl[new_row, prog] = lpn
+        ps[new_row, programmed] = PageState.VALID
+        rl[new_row, programmed] = lpn
         self._vc[new_row] += programs
-        end = len(prog) - int(prog[::-1].argmax())
+        end = ppb if programmed is everything else programmed[-1] + 1
         if end > self._wp[new_row]:
             self._wp[new_row] = end
         sim = self.sim
@@ -585,45 +588,19 @@ class FlashElement:
         self.pages_read += reads
         self.pages_programmed += programs
 
-        # issue order: per local page, its read (if any) before its program
-        codes = (np.flatnonzero(np.column_stack((read, prog))) & 1).tolist()
-        kinds = (OpKind.READ, OpKind.PROGRAM)
-        durations = (self._page_read_us, self._page_program_us)
-        nbytes = self._page_bytes
-        accum = self._accum
-        acc = accum.get(tag)
-        if acc is None:
-            acc = accum[tag] = [0.0, 0]
-        pool = self._op_pool
-        queue = self._queue
-        queued = self._queued_us
+        # the last op is always a program: it alone carries the callback
+        entries[-1] = (self._page_program_us, acc, callback)
         drain_at = self.drain_at_us
-        idle = self._inflight is None
-        for code in codes:
-            duration = durations[code]
-            if pool:
-                op = pool.pop()
-                op.kind = kinds[code]
-                op.nbytes = nbytes
-                op.tag = tag
-                op.callback = callback
-                op.duration_us = duration
-            else:
-                op = FlashOp(kinds[code], nbytes, tag, callback, duration)
-                op._pooled = True
-            op.acc = acc
-            if idle:
-                idle = False
-                self._inflight = op
-                drain_at = sim.now + duration
-                self._inflight_done_at = drain_at
-                sim.reschedule(self._drain, drain_at)
-            else:
-                queue.append(op)
-                queued += duration
-                drain_at += duration
-        self._queued_us = queued
-        self.drain_at_us = drain_at
+        if self._inflight is None:
+            self._inflight = entries[0]
+            drain_at = sim.now + entries[0][0]
+            self._inflight_done_at = drain_at
+            sim.reschedule(self._drain, drain_at)
+            del entries[0]
+        durations = list(map(_duration, entries))
+        self._queued_us = reduce(add, durations, self._queued_us)
+        self.drain_at_us = reduce(add, durations, drain_at)
+        self._queue.extend(entries)
         return reads, programs
 
     # ------------------------------------------------------------------

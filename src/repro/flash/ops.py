@@ -6,11 +6,12 @@ mappings), and the element purely accounts for when the command finishes.
 Each op carries a ``tag`` that attributes its time to host I/O, cleaning, or
 wear-leveling — the accounting behind Tables 5 and 6.
 
-``FlashOp`` is deliberately a bare ``__slots__`` class, not a dataclass:
-millions of ops flow through a busy simulation, and the element recycles
-them through a per-element free list (see ``FlashElement``) so steady-state
-runs allocate approximately zero op objects.  Ops handed to ``enqueue`` by
-external callers are never recycled.
+``FlashOp`` is the public command descriptor that external callers hand to
+``FlashElement.enqueue``.  The element's own issue paths (``read_page``,
+``program_page``, ``rewrite_row``, ...) build no ``FlashOp`` at all: each
+queued command is a plain ``(duration_us, acc, callback)`` tuple in the
+element FIFO, and ``enqueue`` turns a ``FlashOp`` into such an entry, writing
+back only its ``duration_us``.
 """
 
 from __future__ import annotations
@@ -40,13 +41,10 @@ class FlashOp:
 
     ``callback`` (if any) runs when the command completes, with the
     completion time as its only argument.  ``duration_us`` is filled in by
-    the element when the op is enqueued; ``acc`` is the element's per-tag
-    ``[busy_us, op_count]`` accumulator, bound at enqueue so completion
-    needs no dict lookups.
+    the element when the op is enqueued.
     """
 
-    __slots__ = ("kind", "nbytes", "tag", "callback", "duration_us", "acc",
-                 "_pooled")
+    __slots__ = ("kind", "nbytes", "tag", "callback", "duration_us")
 
     def __init__(
         self,
@@ -61,8 +59,6 @@ class FlashOp:
         self.tag = tag
         self.callback = callback
         self.duration_us = duration_us
-        self.acc = None
-        self._pooled = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

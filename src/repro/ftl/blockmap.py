@@ -170,9 +170,12 @@ class BlockMappedFTL(StripeFTLBase):
         loop of :meth:`_rmw_per_page` exactly: each element's FIFO gets the
         same ops in the same order, and the elements are visited in the
         order their first op comes up page-major, so idle elements draw
-        their drain-event seqs in the same order too.  Gangs carrying a
-        fault model keep the per-page loop, because a failed program must
-        be rescued at its place in the global issue order.
+        their drain-event seqs in the same order too.  The join counts one
+        completion per element share, not per op: a share's ops run back to
+        back on its serial FIFO, so the join still fires at the event of the
+        stripe's last op.  Gangs carrying a fault model keep the per-page
+        loop, because a failed program must be rescued at its place in the
+        global issue order.
         """
         new_row = self._alloc_row(gang)
         shards = self.shards
@@ -206,9 +209,10 @@ class BlockMappedFTL(StripeFTLBase):
             for _, el, covered, part in shares:
                 r, w = el.rewrite_row(old_row, new_row, slot, covered, part,
                                       tag, callback)
+                if w:
+                    join.expect()  # the share's last op carries callback
                 reads += r
                 programs += w
-            join.expect(reads + programs)
             self.stats.rmw_pages_read += reads
             self.stats.flash_pages_programmed += programs
         self._maps[gang][slot] = new_row

@@ -17,6 +17,13 @@ Design notes
   :class:`repro.flash.element.FlashElement`) allocate one :class:`Event` up
   front and re-arm it with :meth:`Simulator.reschedule`, so steady-state
   simulation pushes no new Event objects at all.
+* ``FlashElement._on_drain`` is the one place that inlines the body of
+  :meth:`Simulator.reschedule` (it re-arms the drain for the next queued
+  command once per flash op, the most frequent event there is).  It draws
+  the seq before the finished command's callback runs, as the method
+  would, and skips the past-time check, which cannot fire because command
+  durations are never negative.  Every other caller keeps the method, and
+  a change to how ``reschedule`` arms an event must be mirrored there.
 * A second, negative sequence lane (:meth:`Simulator.schedule_at_front`)
   exists for *external stimulus*: events that must win every same-timestamp
   tie against simulation-internal events, exactly as if they had all been

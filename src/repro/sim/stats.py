@@ -32,6 +32,13 @@ import numpy as np
 _ceil = math.ceil
 _log = math.log
 _nextafter = math.nextafter
+_INF = math.inf
+
+#: bucket upper edges per ``(alpha, floor)``, shared by every sketch with
+#: those parameters: edge ``k`` is a pure function of ``(alpha, floor, k)``,
+#: so one table, grown by whichever sketch first needs a wider range, buckets
+#: every sketch bit-identically (see :meth:`QuantileSketch._grow_boundaries`)
+_BOUNDARIES: Dict[Tuple[float, float], np.ndarray] = {}
 
 #: buffered recorders flush through the numpy batch kernels at this many
 #: samples (a few replay windows' worth: big enough to amortize the numpy
@@ -211,14 +218,14 @@ class QuantileSketch:
         self.min = math.inf
         self.max = -math.inf
         self._zero_count = 0
-        #: lazily-built bucket upper boundaries for the batch path (see
-        #: :meth:`add_many`); ``_boundaries[k]`` is the largest double that
-        #: the scalar formula maps to bucket ``k``
+        #: this sketch's handle on the shared bucket upper boundaries for
+        #: the batch path (see :meth:`add_many`); ``_boundaries[k]`` is the
+        #: largest double that the scalar formula maps to bucket ``k``
         self._boundaries: Optional[np.ndarray] = None
 
     def add(self, value: float) -> None:
-        if value < 0.0:
-            raise ValueError(f"negative sample {value}")
+        if not 0.0 <= value < _INF:
+            raise ValueError(f"sample {value} is negative or not finite")
         self.count += 1
         self.sum += value
         if value < self.min:
@@ -237,7 +244,8 @@ class QuantileSketch:
         return _ceil(_log(value / self._floor) / self._log_gamma)
 
     def _grow_boundaries(self, vmax: float) -> np.ndarray:
-        """(Re)build the bucket-boundary table out to at least *vmax*.
+        """The shared bucket-boundary table, extended out to at least the
+        finite *vmax* if no sketch with this ``(alpha, floor)`` has yet.
 
         ``np.log`` and ``math.log`` disagree by ULPs, so a vectorized
         replay of the scalar ``ceil(log(v/floor)/log_gamma)`` would put
@@ -250,8 +258,12 @@ class QuantileSketch:
         ``searchsorted`` over the corrected edges then reproduces the
         scalar bucketing bit-for-bit for every input.
         """
-        old = self._boundaries
-        edges = [] if old is None else list(old)
+        key = (self.alpha, self._floor)
+        boundaries = _BOUNDARIES.get(key)
+        if boundaries is not None and boundaries[-1] >= vmax:
+            self._boundaries = boundaries
+            return boundaries
+        edges = [] if boundaries is None else boundaries.tolist()
         index = self._scalar_index
         floor = self._floor
         gamma = self._gamma
@@ -269,7 +281,8 @@ class QuantileSketch:
             edges.append(edge)
             k += 1
         boundaries = np.asarray(edges, dtype=np.float64)
-        self._boundaries = boundaries
+        boundaries.flags.writeable = False  # every sketch reads it
+        _BOUNDARIES[key] = self._boundaries = boundaries
         return boundaries
 
     def add_many(self, values: "np.ndarray") -> None:
@@ -278,17 +291,18 @@ class QuantileSketch:
         chunk-wise, so the mean can differ from the scalar path by float
         associativity — well inside the sketch's own error).
 
-        Unlike :meth:`add`, a negative sample raises before *any* of the
-        batch is folded in.
+        A negative or non-finite sample raises before *any* of the batch is
+        folded in, as it does in :meth:`add`.
         """
         values = np.asarray(values, dtype=np.float64)
         n = values.size
         if n == 0:
             return
-        vmin = values.min()
-        if vmin < 0.0:
-            raise ValueError(f"negative sample {vmin}")
+        vmin = values.min()  # NaN if any sample is NaN
         vmax = values.max()
+        if not 0.0 <= vmin <= vmax < _INF:
+            raise ValueError(f"samples span [{vmin}, {vmax}]: negative or "
+                             "not finite")
         self.count += n
         self.sum += float(values.sum())
         if vmin < self.min:

@@ -121,24 +121,47 @@ class TestDeepQueue:
         assert elapsed < 5.0, f"deep FIFO took {elapsed:.1f}s — O(n) pop again?"
 
 
-class TestOpRecycling:
-    def test_internal_ops_are_recycled(self, element):
-        sim, el = element
-        el.program_state(0, 0, lpn=1)
-        for i in range(32):
-            el.read_page(0, 0)
-            sim.run_until_idle()
-        # steady state: the slab serves every op, no growth
-        assert len(el._op_pool) <= 2
-        assert el.pages_read == 32
+class TestOpIssue:
+    """The FIFO holds ``(duration_us, acc, callback)`` entries: the
+    element's own issue paths build no :class:`FlashOp`, and ``enqueue``
+    reads an external op without keeping or reshaping it."""
 
-    def test_external_ops_are_not_recycled(self, element):
+    def test_internal_issue_builds_no_flash_op(self, element, monkeypatch):
         sim, el = element
-        op = FlashOp(OpKind.READ, nbytes=4096)
-        el.enqueue(op)
+        built = []
+        init = FlashOp.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlashOp, "__init__", counting_init)
+        el.strict_program_order = False
+        el.program_state(0, 0, lpn=1)
+        for _ in range(4):
+            el.read_page(0, 0)
+        el.program_page(0, 1, lpn=2)
+        # row 0's two valid pages move to row 2 with page 2 written
+        assert el.rewrite_row(0, 2, 3, range(2, 3), (), "host", None) == (2, 3)
+        assert el.queue_depth == 4 + 1 + 5
         sim.run_until_idle()
-        assert op not in el._op_pool
-        assert op.kind is OpKind.READ  # untouched after completion
+        assert built == []
+        assert el.ops_by_tag == {"host": 10}
+
+    def test_external_op_fires_and_only_gets_its_duration(self, element):
+        sim, el = element
+        times = []
+        op = FlashOp(OpKind.READ, nbytes=4096, tag="clean",
+                     callback=times.append)
+        before = {name: getattr(op, name) for name in FlashOp.__slots__}
+        el.enqueue(op)
+        assert op not in el._queue and el._inflight is not op
+        sim.run_until_idle()
+        after = {name: getattr(op, name) for name in FlashOp.__slots__}
+        dur = el.timing.read_us(4096)
+        assert times == [dur]
+        assert after == dict(before, duration_us=dur)
+        assert el.ops_by_tag == {"clean": 1}
 
 
 class TestStateMachine:
@@ -225,7 +248,7 @@ class TestRewriteRow:
     PARTIAL = (3,)
 
     @staticmethod
-    def _aged(busy):
+    def _aged(busy, full=False):
         sim = Simulator()
         geom = FlashGeometry(page_bytes=4096, pages_per_block=8,
                              blocks_per_element=16)
@@ -233,10 +256,14 @@ class TestRewriteRow:
         timing = FlashTiming.slc().scaled(bus_mb_per_s=40.0 / 8)
         el = FlashElement(sim, geom, timing, element_id=3)
         el.strict_program_order = False
-        # old row 0: valid {0, 1, 3, 5, 6}, invalid {2}, free {4, 7}
-        for page in (0, 1, 2, 3, 5, 6):
-            el.program_state(0, page, lpn=9)
-        el.invalidate_state(0, 2)
+        if full:
+            for page in range(8):
+                el.program_state(0, page, lpn=9)
+        else:
+            # old row 0: valid {0, 1, 3, 5, 6}, invalid {2}, free {4, 7}
+            for page in (0, 1, 2, 3, 5, 6):
+                el.program_state(0, page, lpn=9)
+            el.invalidate_state(0, 2)
         # an off-grid clock and odd-sized queued ops make the float sums
         # sensitive to the order the durations are added in
         sim.schedule(0.3, lambda: None)
@@ -264,29 +291,41 @@ class TestRewriteRow:
 
     @pytest.mark.parametrize("busy", [False, True])
     def test_matches_per_page_issue(self, busy):
-        sim_a, batched = self._aged(busy)
-        sim_b, reference = self._aged(busy)
-        done_a, done_b = [], []
-        counts = batched.rewrite_row(0, 5, 9, self.COVERED, self.PARTIAL,
-                                     "host", done_a.append)
-        self._per_page(reference, 0, 5, 9, self.COVERED, self.PARTIAL,
-                       done_b.append)
         # reads: uncovered valid {0, 1, 6} + partial valid {3}; programs:
         # uncovered valid {0, 1, 6} + covered {3, 4, 5}
-        assert counts == (4, 6)
+        self._check_against_per_page(busy, full=False, counts=(4, 6))
+
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_full_row_matches_per_page_issue(self, busy):
+        # every page valid: whole-row transitions; reads: all but the
+        # wholly covered {4, 5}
+        self._check_against_per_page(busy, full=True, counts=(6, 8))
+
+    def _check_against_per_page(self, busy, full, counts):
+        sim_a, batched = self._aged(busy, full)
+        sim_b, reference = self._aged(busy, full)
+        done_a, done_b = [], []
+        assert batched.rewrite_row(0, 5, 9, self.COVERED, self.PARTIAL,
+                                   "host", done_a.append) == counts
+        self._per_page(reference, 0, 5, 9, self.COVERED, self.PARTIAL,
+                       done_b.append)
         for name in ("page_state", "reverse_lpn", "valid_count", "write_ptr",
                      "block_mtime"):
             assert (getattr(batched, name) == getattr(reference, name)).all()
         for name in ("pages_read", "pages_programmed", "drain_at_us",
                      "_queued_us"):
             assert getattr(batched, name) == getattr(reference, name)
-        assert ([(op.kind, op.duration_us) for op in batched._queue]
-                == [(op.kind, op.duration_us) for op in reference._queue])
+        # entry for entry, in-flight command first
+        assert ([entry[0] for entry in (batched._inflight, *batched._queue)]
+                == [entry[0] for entry in (reference._inflight,
+                                           *reference._queue)])
         assert batched._drain.time == reference._drain.time
         sim_a.run_until_idle()
         sim_b.run_until_idle()
         assert (sim_a.now, sim_a.events_run) == (sim_b.now, sim_b.events_run)
-        assert done_a == done_b and len(done_a) == 10
+        # one completion for the share, when its last op finishes
+        assert len(done_b) == sum(counts)
+        assert done_a == [done_b[-1]]
         assert batched.ops_by_tag == reference.ops_by_tag
         assert batched.busy_us() == reference.busy_us()
 
@@ -300,3 +339,10 @@ class TestRewriteRow:
         # the check runs before any transition or issue
         assert (el.page_state == before).all()
         assert el.idle and el.pages_read == 0
+
+    def test_only_checks_the_destination_pages_it_programs(self):
+        _sim, el = self._aged(busy=False)
+        el.program_state(5, 7, lpn=1)  # page 7: free in row 0, uncovered
+        assert el.rewrite_row(0, 5, 9, self.COVERED, self.PARTIAL, "host",
+                              None) == (4, 6)
+        assert el.reverse_lpn[5].tolist() == [9, 9, -1, 9, 9, 9, 9, 1]

@@ -122,14 +122,14 @@ class TestBatchedRMW:
                 el.fault_model = FaultModel(FaultConfig(), el.element_id)
         # a partial overwrite of page 1: both idle elements start with a
         # read due at the same instant, so their drain seqs break the tie
-        ftl.write(1 * KB4 + 1024, 2048)
+        done = []
+        ftl.write(1 * KB4 + 1024, 2048, done=done.append)
         drains = [(el._drain.time, el._drain.seq) for el in ftl.elements]
-        queues = [[(op.kind, op.duration_us) for op in el._queue]
-                  for el in ftl.elements]
+        queues = [[entry[0] for entry in el._queue] for el in ftl.elements]
         sim.run_until_idle()
         ftl.check_consistency()
         return (drains, queues, sim.now, sim.events_run, ftl.stats.as_dict(),
-                [(el.busy_us(), el.ops_by_tag) for el in ftl.elements])
+                [(el.busy_us(), el.ops_by_tag) for el in ftl.elements], done)
 
     def test_matches_the_per_page_reference(self):
         batched = self._after_rmw(reference=False)
@@ -138,6 +138,8 @@ class TestBatchedRMW:
         assert drains[0][0] == drains[1][0]
         assert drains[1][1] < drains[0][1]  # page-major, not element order
         assert batched[4]["rmw_pages_read"] == 2
+        # the host write completes once, when the stripe's last op does
+        assert len(batched[6]) == 1
 
 
 class TestReads:

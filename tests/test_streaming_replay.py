@@ -226,6 +226,60 @@ class TestQuantileSketchBatch:
         sketch.add_many(np.asarray([], dtype=np.float64))
         assert sketch.count == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_add_many_rejects_non_finite(self, bad):
+        sketch = QuantileSketch()
+        sketch.add_many(np.asarray([3.0]))
+        before = (sketch.count, sketch.sum, sketch.min, sketch.max,
+                  dict(sketch._buckets), sketch._zero_count)
+        with pytest.raises(ValueError, match="sample"):
+            sketch.add_many(np.asarray([1.0, bad, 2.0]))
+        assert (sketch.count, sketch.sum, sketch.min, sketch.max,
+                dict(sketch._buckets), sketch._zero_count) == before
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_add_rejects_non_finite(self, bad):
+        sketch = QuantileSketch()
+        sketch.add(3.0)
+        before = (sketch.count, sketch.sum, sketch.min, sketch.max,
+                  dict(sketch._buckets), sketch._zero_count)
+        with pytest.raises(ValueError, match="sample"):
+            sketch.add(bad)
+        assert (sketch.count, sketch.sum, sketch.min, sketch.max,
+                dict(sketch._buckets), sketch._zero_count) == before
+
+
+class TestQuantileSketchSharedBoundaries:
+    """The batch path's bucket-edge table is shared per ``(alpha, floor)``
+    rather than rebuilt by every sketch."""
+
+    def test_same_parameters_share_one_array(self):
+        a, b = QuantileSketch(), QuantileSketch()
+        a.add_many(np.asarray([5.0, 2.5e3]))
+        b.add_many(np.asarray([7.0, 1.5e3]))
+        assert a._boundaries is b._boundaries
+
+    def test_other_alpha_gets_its_own_array(self):
+        a, b = QuantileSketch(alpha=0.01), QuantileSketch(alpha=0.02)
+        a.add_many(np.asarray([5.0, 2.5e3]))
+        b.add_many(np.asarray([5.0, 2.5e3]))
+        assert a._boundaries is not b._boundaries
+        assert b._boundaries[1] > a._boundaries[1]
+
+    def test_add_many_matches_scalar_after_another_sketch_grew_the_table(self):
+        # a far outlier in one sketch widens the shared table; a sketch
+        # built afterwards buckets through that wider table
+        QuantileSketch(alpha=0.03).add_many(np.asarray([1.0, 4.2e11]))
+        rng = random.Random(99)
+        values = [rng.lognormvariate(3.0, 2.5) for _ in range(5000)]
+        scalar, batched = QuantileSketch(alpha=0.03), QuantileSketch(alpha=0.03)
+        for value in values:
+            scalar.add(value)
+        batched.add_many(np.asarray(values))
+        assert batched._boundaries[-1] >= 4.2e11
+        assert batched._buckets == scalar._buckets
+        assert batched._zero_count == scalar._zero_count
+
 
 class TestReservoirSamplerBatch:
     def test_add_many_state_and_rng_identical_to_scalar(self):
