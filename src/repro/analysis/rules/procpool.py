@@ -31,8 +31,8 @@ __all__ = ["check_procpool"]
 
 #: annotations that mean "live simulation state" — never picklable-safe
 UNPICKLABLE_TYPES = {
-    "Simulator", "Event", "SerialResource", "FlashElement", "FlashOp",
-    "SSD", "StorageDevice", "IORequest", "FaultModel", "BaseFTL",
+    "Simulator", "Event", "SerialResource", "FlashElement", "SSD",
+    "StorageDevice", "IORequest", "FaultModel", "BaseFTL",
 }
 
 #: constructors whose results are live simulation state

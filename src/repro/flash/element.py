@@ -4,9 +4,10 @@ The element plays two roles:
 
 1. **Timed executor.**  Commands are enqueued FIFO and executed one at a
    time — a flash die can only do one array operation at once.  Completion
-   callbacks fire on the simulator clock.  ``queue_wait_us()`` exposes the
-   estimated wait, which is exactly the quantity the paper's SWTF scheduler
-   (§3.2) ranks requests by.
+   callbacks fire on the simulator clock.  ``drain_at_us`` — when the
+   last enqueued command finishes — is the element's one wait ledger: the
+   paper's SWTF scheduler (§3.2) ranks requests by it, and
+   ``queue_wait_us()`` derives the remaining wait from it.
 
    The executor is built for throughput: the FIFO is a ``deque`` (O(1) at
    both ends) of plain ``(duration_us, acc, callback)`` tuples — no op
@@ -40,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.flash.geometry import FlashGeometry
-from repro.flash.ops import FlashOp, OpKind, TAG_CLEAN, TAG_HOST
+from repro.flash.ops import OpKind, TAG_CLEAN, TAG_HOST
 from repro.flash.timing import FlashTiming
 from repro.sim.engine import Event, Simulator
 
@@ -72,8 +73,7 @@ class FlashElement:
         "page_state", "reverse_lpn", "valid_count", "write_ptr",
         "erase_count", "block_mtime", "retired",
         "_ps", "_rl", "_vc", "_wp", "_ec", "_mt", "_rt",
-        "_queue", "_inflight", "_inflight_done_at", "_queued_us",
-        "drain_at_us", "_drain",
+        "_queue", "_inflight", "drain_at_us", "_drain",
         "_page_bytes", "_page_read_us", "_page_program_us",
         "_erase_cmd_us", "_page_copy_us",
         "_accum", "erases_performed", "pages_programmed", "pages_read",
@@ -126,8 +126,6 @@ class FlashElement:
         # callback) tuples, acc being the tag's accumulator cell
         self._queue: deque[tuple] = deque()
         self._inflight: Optional[tuple] = None
-        self._inflight_done_at: float = 0.0
-        self._queued_us: float = 0.0  # total duration of queued (not inflight) ops
         #: absolute simulated time at which everything currently enqueued
         #: (inflight + FIFO) finishes.  Updated O(1) at enqueue only: popping
         #: the next op moves work from the FIFO to the in-flight slot without
@@ -173,14 +171,12 @@ class FlashElement:
     # timed execution
     # ------------------------------------------------------------------
 
-    def enqueue(self, op: FlashOp) -> None:
-        """Queue a command for serial execution on this element.
-
-        Only ``op.duration_us`` is written; the FIFO holds an entry built
-        from the op, never the op itself."""
-        duration = self.timing.duration_us(op.kind, op.nbytes)
-        op.duration_us = duration
-        self._issue(duration, op.tag, op.callback)
+    def enqueue(self, kind: OpKind, nbytes: int = 0, tag: str = TAG_HOST,
+                callback: Optional[Callable[[float], None]] = None) -> None:
+        """Queue one *kind* command moving *nbytes* for serial execution,
+        its time accounted under *tag*.  *callback*, if any, runs with the
+        completion time when the command finishes."""
+        self._issue(self.timing.duration_us(kind, nbytes), tag, callback)
 
     def _issue(self, duration_us: float, tag: str,
                callback: Optional[Callable[[float], None]]) -> None:
@@ -193,12 +189,10 @@ class FlashElement:
         if self._inflight is None:
             self._inflight = entry
             done_at = self.sim.now + duration_us
-            self._inflight_done_at = done_at
             self.drain_at_us = done_at
             self.sim.reschedule(self._drain, done_at)
         else:
             self._queue.append(entry)
-            self._queued_us += duration_us
             self.drain_at_us += duration_us
 
     def _on_drain(self) -> None:
@@ -210,11 +204,8 @@ class FlashElement:
         queue = self._queue
         if queue:
             nxt = queue.popleft()
-            duration = nxt[0]
-            self._queued_us -= duration
             self._inflight = nxt
-            done_at = sim.now + duration
-            self._inflight_done_at = done_at
+            done_at = sim.now + nxt[0]
             # Simulator.reschedule inlined (the one place that does; see
             # the engine's design notes): durations are >= 0, so the
             # past-time check cannot fire, and the seq is drawn before the
@@ -246,17 +237,9 @@ class FlashElement:
         return depth
 
     def queue_wait_us(self) -> float:
-        """Estimated wait before a newly enqueued op would start executing.
-
-        This is the remaining time of the in-flight command plus the summed
-        durations of everything queued behind it — the quantity SWTF uses.
-        """
-        wait = self._queued_us
-        if self._inflight is not None:
-            remaining = self._inflight_done_at - self.sim.now
-            if remaining > 0.0:
-                wait += remaining
-        return wait
+        """Estimated wait before a newly enqueued op would start executing:
+        the time until ``drain_at_us``, the quantity SWTF ranks by."""
+        return max(self.drain_at_us - self.sim.now, 0.0)
 
     @property
     def ops_by_tag(self) -> dict[str, int]:
@@ -525,10 +508,10 @@ class FlashElement:
         shared FIFO entry, so the share is built from counts of valid pages
         around the covered ones.  The state transitions are numpy row writes
         (whole-row slices when every page moves), and the durations are
-        added to ``_queued_us`` and ``drain_at_us`` op by op, so the clock
-        stays bit-identical to per-page issue.  A fault-free element only
-        (no read-retry or program-failure draws).  Returns ``(pages read,
-        pages programmed)``."""
+        added to ``drain_at_us`` op by op, so the clock stays bit-identical
+        to per-page issue.  A fault-free element only (no read-retry or
+        program-failure draws).  Returns ``(pages read, pages
+        programmed)``."""
         if self.fault_model is not None or self.strict_program_order:
             raise FlashStateError(
                 f"element {self.element_id}: row rewrite needs a fault-free "
@@ -594,12 +577,9 @@ class FlashElement:
         if self._inflight is None:
             self._inflight = entries[0]
             drain_at = sim.now + entries[0][0]
-            self._inflight_done_at = drain_at
             sim.reschedule(self._drain, drain_at)
             del entries[0]
-        durations = list(map(_duration, entries))
-        self._queued_us = reduce(add, durations, self._queued_us)
-        self.drain_at_us = reduce(add, durations, drain_at)
+        self.drain_at_us = reduce(add, map(_duration, entries), drain_at)
         self._queue.extend(entries)
         return reads, programs
 

@@ -9,22 +9,12 @@ same instant.
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import derive_seed, stream
-from repro.sim.stats import (
-    BandwidthMeter,
-    Counter,
-    Histogram,
-    LatencyRecorder,
-    RunningStats,
-)
+from repro.sim.stats import LatencyRecorder
 
 __all__ = [
     "Event",
     "Simulator",
     "derive_seed",
     "stream",
-    "BandwidthMeter",
-    "Counter",
-    "Histogram",
     "LatencyRecorder",
-    "RunningStats",
 ]

@@ -1,4 +1,4 @@
-"""Measurement primitives: running moments, latency percentiles, rates.
+"""Measurement primitives: latency recorders, percentiles and sketches.
 
 These are deliberately simple containers.  Experiments create them, devices
 feed them, and the bench harness formats their summaries into the paper's
@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +40,12 @@ _INF = math.inf
 #: every sketch bit-identically (see :meth:`QuantileSketch._grow_boundaries`)
 _BOUNDARIES: Dict[Tuple[float, float], np.ndarray] = {}
 
-#: buffered recorders flush through the numpy batch kernels at this many
+#: streaming recorders flush through the numpy batch kernels at this many
 #: samples (a few replay windows' worth: big enough to amortize the numpy
 #: call overhead, small enough to keep buffers trivially bounded)
 FLUSH_THRESHOLD = 4096
 
 __all__ = [
-    "RunningStats",
     "LatencyRecorder",
     "LatencySummary",
     "StreamingLatencyRecorder",
@@ -54,9 +53,6 @@ __all__ = [
     "ReservoirSampler",
     "ClassAggregate",
     "FLUSH_THRESHOLD",
-    "Counter",
-    "Histogram",
-    "BandwidthMeter",
     "percentile",
 ]
 
@@ -80,52 +76,6 @@ def percentile(sorted_values: List[float], fraction: float) -> float:
         return sorted_values[lo]
     weight = pos - lo
     return sorted_values[lo] * (1.0 - weight) + sorted_values[hi] * weight
-
-
-class RunningStats:
-    """Welford online mean/variance plus min/max."""
-
-    __slots__ = ("n", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        self.n += 1
-        delta = value - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def variance(self) -> float:
-        """Population variance; 0.0 until two samples exist."""
-        if self.n < 2:
-            return 0.0
-        return self._m2 / self.n
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.n == 0:
-            return "<RunningStats empty>"
-        return (
-            f"<RunningStats n={self.n} mean={self.mean:.3f} "
-            f"sd={self.stdev:.3f} min={self.min:.3f} max={self.max:.3f}>"
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -598,42 +548,34 @@ class StreamingLatencyRecorder:
     keeps a uniform raw sample.  See the module docstring for when to use
     which.
 
-    With ``buffered=True`` the recorder takes itself off the per-sample
-    path entirely: ``record`` appends to a flat float buffer, and the
-    buffer is flushed through the numpy batch kernels
-    (:meth:`QuantileSketch.add_many` / :meth:`ReservoirSampler.add_many`)
-    every :data:`FLUSH_THRESHOLD` samples and on any read.  Buckets,
-    extremes, counts, and the reservoir's sample/RNG stream are identical
-    to unbuffered recording — only the order in which the work is done
-    changes.  Reads (``count``/``samples``/``summary``) see a consistent
-    view: they fold the buffer first.
+    ``record`` stays off the per-sample sketch path entirely: it appends
+    to a flat float buffer, and the buffer is flushed through the numpy
+    batch kernels (:meth:`QuantileSketch.add_many` /
+    :meth:`ReservoirSampler.add_many`) every :data:`FLUSH_THRESHOLD`
+    samples and on any read.  Buckets, extremes, counts, and the
+    reservoir's sample/RNG stream are identical to per-sample ``add``
+    calls — only the order in which the work is done changes.  Reads
+    (``count``/``samples``/``summary``) see a consistent view: they fold
+    the buffer first.
     """
 
-    __slots__ = ("sketch", "reservoir", "_sketch_add", "_reservoir_add",
-                 "buffer")
+    __slots__ = ("sketch", "reservoir", "buffer")
 
     def __init__(self, alpha: float = 0.01, reservoir_k: int = 1024,
-                 seed: int = 0x5EED, buffered: bool = False) -> None:
+                 seed: int = 0x5EED) -> None:
         self.sketch = QuantileSketch(alpha)
         self.reservoir = ReservoirSampler(reservoir_k, seed)
-        # prebound: record() runs once per replayed request
-        self._sketch_add = self.sketch.add
-        self._reservoir_add = self.reservoir.add
-        #: pending raw samples when buffered, else None.  Hot callers may
-        #: append here directly and call :meth:`flush` at their own cadence
-        #: (the replay sinks do), as long as every read goes through the
-        #: recorder's API or flushes first.
-        self.buffer: Optional[List[float]] = [] if buffered else None
+        #: pending raw samples.  Hot callers may append here directly and
+        #: call :meth:`flush` at their own cadence (the replay sinks do),
+        #: as long as every read goes through the recorder's API or
+        #: flushes first.
+        self.buffer: List[float] = []
 
     def record(self, latency_us: float) -> None:
         buffer = self.buffer
-        if buffer is None:
-            self._sketch_add(latency_us)
-            self._reservoir_add(latency_us)
-        else:
-            buffer.append(latency_us)
-            if len(buffer) >= FLUSH_THRESHOLD:
-                self.flush()
+        buffer.append(latency_us)
+        if len(buffer) >= FLUSH_THRESHOLD:
+            self.flush()
 
     def flush(self) -> None:
         """Fold any buffered samples into the sketch and reservoir."""
@@ -646,10 +588,7 @@ class StreamingLatencyRecorder:
 
     @property
     def count(self) -> int:
-        buffer = self.buffer
-        if buffer:
-            return self.sketch.count + len(buffer)
-        return self.sketch.count
+        return self.sketch.count + len(self.buffer)
 
     @property
     def samples(self) -> List[float]:
@@ -676,10 +615,9 @@ class ClassAggregate:
     __slots__ = ("bytes", "latencies", "_record")
 
     def __init__(self, alpha: float = 0.01, reservoir_k: int = 1024,
-                 seed: int = 0x5EED, buffered: bool = False) -> None:
+                 seed: int = 0x5EED) -> None:
         self.bytes = 0
-        self.latencies = StreamingLatencyRecorder(alpha, reservoir_k, seed,
-                                                  buffered=buffered)
+        self.latencies = StreamingLatencyRecorder(alpha, reservoir_k, seed)
         self._record = self.latencies.record
 
     def add(self, latency_us: float, nbytes: int) -> None:
@@ -689,83 +627,3 @@ class ClassAggregate:
     @property
     def count(self) -> int:
         return self.latencies.count
-
-
-class Counter:
-    """A dict of named monotonically increasing counters."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self._counts!r})"
-
-
-class Histogram:
-    """Fixed-bin histogram over [0, upper) with an overflow bucket."""
-
-    __slots__ = ("upper", "nbins", "_width", "bins", "overflow", "count")
-
-    def __init__(self, upper: float, nbins: int) -> None:
-        if upper <= 0 or nbins <= 0:
-            raise ValueError("upper and nbins must be positive")
-        self.upper = upper
-        self.nbins = nbins
-        self._width = upper / nbins
-        self.bins = [0] * nbins
-        self.overflow = 0
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if value >= self.upper:
-            self.overflow += 1
-            return
-        index = int(value / self._width)
-        if index >= self.nbins:  # float edge case at exactly upper
-            self.overflow += 1
-        else:
-            self.bins[index] += 1
-
-
-@dataclass(slots=True)
-class BandwidthMeter:
-    """Accumulates completed bytes over a measurement window."""
-
-    bytes_done: int = 0
-    start_us: float = 0.0
-    end_us: float = 0.0
-    _started: bool = field(default=False, repr=False)
-
-    def begin(self, now_us: float) -> None:
-        self.start_us = now_us
-        self.end_us = now_us
-        self._started = True
-
-    def add(self, nbytes: int, now_us: float) -> None:
-        if not self._started:
-            self.begin(now_us)
-        self.bytes_done += nbytes
-        if now_us > self.end_us:
-            self.end_us = now_us
-
-    @property
-    def elapsed_us(self) -> float:
-        return self.end_us - self.start_us
-
-    def mb_per_s(self, elapsed_us: Optional[float] = None) -> float:
-        from repro.units import mb_per_s as _mbps
-
-        window = self.elapsed_us if elapsed_us is None else elapsed_us
-        return _mbps(self.bytes_done, window)

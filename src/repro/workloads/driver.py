@@ -136,7 +136,7 @@ class WorkloadResult:
         nbytes = sum(
             c.size
             for c in self.completions
-            if op is None or c.op is op
+            if c.error is None and (op is None or c.op is op)
         )
         return mb_per_s(nbytes, self.elapsed_us)
 
@@ -205,7 +205,7 @@ class StreamingResult:
             class_seed = (self._seed * 31
                           + self._OP_ORDER[request.op] * 2 + key[1])
             aggregate = self._classes[key] = ClassAggregate(
-                self._alpha, self._reservoir_k, class_seed, buffered=True
+                self._alpha, self._reservoir_k, class_seed
             )
             latencies = aggregate.latencies
             entry = self._fast[key] = (

@@ -22,7 +22,10 @@ from repro.flash.faults import FaultConfig, FaultModel
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.sim.engine import Simulator
-from repro.units import KIB
+from repro.traces.record import TraceOp, TraceRecord
+from repro.units import KIB, mb_per_s
+from repro.workloads.driver import (ClosedLoopDriver, StreamingResult,
+                                    replay_trace)
 from tests.conftest import run_io, small_geometry
 
 
@@ -295,24 +298,27 @@ _SOAK_FAULTS = dict(program_fail_prob=0.02, erase_fail_base_prob=0.01,
                     erase_wear_scale=1e-3, read_transient_prob=0.02)
 
 
+def _soak_config(seed, ftl_type="pagemap"):
+    return SSDConfig(
+        n_elements=4,
+        geometry=small_geometry(),
+        ftl_type=ftl_type,
+        gang_size=2,
+        controller_overhead_us=2.0,
+        spare_fraction=0.12,
+        faults=FaultConfig(enabled=True, seed=seed, **_SOAK_FAULTS),
+        host_retry_limit=2,
+        host_retry_backoff_us=20.0,
+    )
+
+
 class _Soak:
     """Closed-loop random mixed load against a fault-injecting SSD."""
 
     def __init__(self, seed, ftl_type="pagemap", count=6000, depth=4,
                  write_fraction=0.7):
         self.sim = Simulator()
-        config = SSDConfig(
-            n_elements=4,
-            geometry=small_geometry(),
-            ftl_type=ftl_type,
-            gang_size=2,
-            controller_overhead_us=2.0,
-            spare_fraction=0.12,
-            faults=FaultConfig(enabled=True, seed=seed, **_SOAK_FAULTS),
-            host_retry_limit=2,
-            host_retry_backoff_us=20.0,
-        )
-        self.ssd = SSD(self.sim, config)
+        self.ssd = SSD(self.sim, _soak_config(seed, ftl_type))
         self.count = count
         self.write_fraction = write_fraction
         self.rng = random.Random(seed)
@@ -397,6 +403,59 @@ class TestSpareExhaustionEndToEnd:
             soak = _Soak(seed=seed, count=3000)
             soak.assert_books_balance()
             assert soak.ssd.ftl.stats.program_failures > 0
+
+
+class TestResultBandwidthExcludesErrors:
+    """Failed requests move no data: every result type reports the bytes
+    the device actually moved (``DeviceStats.bytes_*``), not the bytes
+    that were asked for."""
+
+    @staticmethod
+    def _mixed(seed, pages, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            op = TraceOp.WRITE if rng.random() < 0.7 else TraceOp.READ
+            yield op, rng.randrange(pages) * 4096, 4096
+
+    def test_closed_loop_result_matches_device_bytes(self):
+        sim = Simulator()
+        ssd = SSD(sim, _soak_config(seed=1))
+        ops = self._mixed(1, ssd.capacity_bytes // 4096, 6000)
+
+        def next_request(_i):
+            op, offset, size = next(ops)
+            return op.to_op_type(), offset, size
+
+        result = ClosedLoopDriver(sim, ssd, next_request, 6000,
+                                  depth=4).run()
+        assert result.errors.get("readonly", 0) > 0
+        for op, nbytes in ((OpType.WRITE, ssd.stats.bytes_written),
+                           (OpType.READ, ssd.stats.bytes_read)):
+            assert result.bandwidth_mb_s(op) == mb_per_s(
+                nbytes, result.elapsed_us)
+        assert result.bandwidth_mb_s() == mb_per_s(
+            ssd.stats.bytes_read + ssd.stats.bytes_written,
+            result.elapsed_us)
+
+    def test_listed_and_streaming_replays_agree(self):
+        def replay(sink):
+            sim = Simulator()
+            ssd = SSD(sim, _soak_config(seed=1))
+            trace = [
+                TraceRecord(i * 40.0, op, offset, size)
+                for i, (op, offset, size) in enumerate(
+                    self._mixed(1, ssd.capacity_bytes // 4096, 6000))
+            ]
+            return replay_trace(sim, ssd, trace, sink=sink), ssd
+
+        listed, ssd_l = replay(None)
+        streamed, ssd_s = replay(StreamingResult())
+        assert listed.errors.get("readonly", 0) > 0
+        assert streamed.errors == listed.errors
+        assert ssd_s.stats.bytes_written == ssd_l.stats.bytes_written
+        expected = mb_per_s(ssd_l.stats.bytes_written, listed.elapsed_us)
+        assert listed.bandwidth_mb_s(OpType.WRITE) == expected
+        assert streamed.bandwidth_mb_s(OpType.WRITE) == expected
 
 
 class TestFaultsOffUnperturbed:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.flash.element import FlashElement, FlashStateError, PageState
 from repro.flash.geometry import FlashGeometry
-from repro.flash.ops import FlashOp, OpKind
+from repro.flash.ops import OpKind
 from repro.flash.timing import FlashTiming
 from repro.sim.engine import Simulator
 
@@ -48,7 +48,7 @@ class TestSerialExecution:
         sim, el = element
         times = []
         for _ in range(3):
-            el.enqueue(FlashOp(OpKind.READ, nbytes=4096, callback=times.append))
+            el.enqueue(OpKind.READ, nbytes=4096, callback=times.append)
         sim.run_until_idle()
         dur = el.timing.read_us(4096)
         assert times == pytest.approx([dur, 2 * dur, 3 * dur])
@@ -56,8 +56,8 @@ class TestSerialExecution:
     def test_queue_wait_estimate(self, element):
         sim, el = element
         assert el.queue_wait_us() == 0.0
-        el.enqueue(FlashOp(OpKind.READ, nbytes=4096))
-        el.enqueue(FlashOp(OpKind.READ, nbytes=4096))
+        el.enqueue(OpKind.READ, nbytes=4096)
+        el.enqueue(OpKind.READ, nbytes=4096)
         dur = el.timing.read_us(4096)
         assert el.queue_wait_us() == pytest.approx(2 * dur)
         sim.run(max_events=1)
@@ -65,8 +65,8 @@ class TestSerialExecution:
 
     def test_busy_accounting_by_tag(self, element):
         sim, el = element
-        el.enqueue(FlashOp(OpKind.READ, nbytes=4096, tag="host"))
-        el.enqueue(FlashOp(OpKind.ERASE, tag="clean"))
+        el.enqueue(OpKind.READ, nbytes=4096, tag="host")
+        el.enqueue(OpKind.ERASE, tag="clean")
         sim.run_until_idle()
         assert el.busy_us("host") == pytest.approx(el.timing.read_us(4096))
         assert el.busy_us("clean") == pytest.approx(el.timing.erase_us())
@@ -78,7 +78,7 @@ class TestSerialExecution:
         sim, el = element
         idles = []
         el.on_idle = lambda: idles.append(sim.now)
-        el.enqueue(FlashOp(OpKind.READ, nbytes=4096))
+        el.enqueue(OpKind.READ, nbytes=4096)
         sim.run_until_idle()
         assert len(idles) == 1
 
@@ -92,7 +92,7 @@ class TestDeepQueue:
         times = []
         depth = 500
         for _ in range(depth):
-            el.enqueue(FlashOp(OpKind.READ, nbytes=4096, callback=times.append))
+            el.enqueue(OpKind.READ, nbytes=4096, callback=times.append)
         assert el.queue_depth == depth
         dur = el.timing.read_us(4096)
         assert el.queue_wait_us() == pytest.approx(depth * dur)
@@ -114,7 +114,7 @@ class TestDeepQueue:
         count = 50_000
         start = time.perf_counter()
         for _ in range(count):
-            el.enqueue(FlashOp(OpKind.READ, nbytes=4096))
+            el.enqueue(OpKind.READ, nbytes=4096)
         sim.run_until_idle()
         elapsed = time.perf_counter() - start
         assert el.ops_by_tag["host"] == count
@@ -122,20 +122,11 @@ class TestDeepQueue:
 
 
 class TestOpIssue:
-    """The FIFO holds ``(duration_us, acc, callback)`` entries: the
-    element's own issue paths build no :class:`FlashOp`, and ``enqueue``
-    reads an external op without keeping or reshaping it."""
+    """The FIFO holds ``(duration_us, acc, callback)`` entries: every issue
+    path, ``enqueue`` included, queues a plain tuple and no op object."""
 
-    def test_internal_issue_builds_no_flash_op(self, element, monkeypatch):
+    def test_internal_issue_builds_no_flash_op(self, element):
         sim, el = element
-        built = []
-        init = FlashOp.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(FlashOp, "__init__", counting_init)
         el.strict_program_order = False
         el.program_state(0, 0, lpn=1)
         for _ in range(4):
@@ -143,25 +134,25 @@ class TestOpIssue:
         el.program_page(0, 1, lpn=2)
         # row 0's two valid pages move to row 2 with page 2 written
         assert el.rewrite_row(0, 2, 3, range(2, 3), (), "host", None) == (2, 3)
-        assert el.queue_depth == 4 + 1 + 5
+        el.enqueue(OpKind.ERASE)
+        assert el.queue_depth == 4 + 1 + 5 + 1
+        entries = [el._inflight, *el._queue]
+        assert {type(entry) for entry in entries} == {tuple}
+        assert all(len(entry) == 3 for entry in entries)
         sim.run_until_idle()
-        assert built == []
-        assert el.ops_by_tag == {"host": 10}
+        assert el.ops_by_tag == {"host": 11}
 
-    def test_external_op_fires_and_only_gets_its_duration(self, element):
+    def test_enqueue_fires_at_its_duration_under_its_tag(self, element):
         sim, el = element
         times = []
-        op = FlashOp(OpKind.READ, nbytes=4096, tag="clean",
-                     callback=times.append)
-        before = {name: getattr(op, name) for name in FlashOp.__slots__}
-        el.enqueue(op)
-        assert op not in el._queue and el._inflight is not op
-        sim.run_until_idle()
-        after = {name: getattr(op, name) for name in FlashOp.__slots__}
+        el.enqueue(OpKind.READ, nbytes=4096, tag="clean",
+                   callback=times.append)
         dur = el.timing.read_us(4096)
+        assert el.drain_at_us == dur
+        sim.run_until_idle()
         assert times == [dur]
-        assert after == dict(before, duration_us=dur)
         assert el.ops_by_tag == {"clean": 1}
+        assert el.busy_us("clean") == dur
 
 
 class TestStateMachine:
@@ -270,7 +261,7 @@ class TestRewriteRow:
         sim.run_until_idle()
         if busy:
             for nbytes in (1000, 3001, 777):
-                el.enqueue(FlashOp(OpKind.READ, nbytes))
+                el.enqueue(OpKind.READ, nbytes)
         return sim, el
 
     @staticmethod
@@ -312,8 +303,7 @@ class TestRewriteRow:
         for name in ("page_state", "reverse_lpn", "valid_count", "write_ptr",
                      "block_mtime"):
             assert (getattr(batched, name) == getattr(reference, name)).all()
-        for name in ("pages_read", "pages_programmed", "drain_at_us",
-                     "_queued_us"):
+        for name in ("pages_read", "pages_programmed", "drain_at_us"):
             assert getattr(batched, name) == getattr(reference, name)
         # entry for entry, in-flight command first
         assert ([entry[0] for entry in (batched._inflight, *batched._queue)]

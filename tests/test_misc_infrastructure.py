@@ -3,7 +3,13 @@ wear summaries, and the contract checker's fast pieces."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.contract import (
     COLUMNS,
@@ -182,3 +188,16 @@ class TestContractPieces:
         verdict = report.verdict(5, "mems")
         assert verdict.verdict == "T"
         assert verdict.paper_verdict == "T"
+
+
+class TestPackaging:
+    def test_setup_names_the_package(self):
+        """``setup.py`` carries the metadata itself (there is no
+        ``pyproject.toml``): the package is ``repro`` at the version the
+        code reports.  ``--name --version`` writes no files."""
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=Path(__file__).resolve().parents[1],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert out == ["repro", repro.__version__]

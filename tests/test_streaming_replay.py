@@ -375,22 +375,26 @@ class TestBufferedRecorder:
         rng = random.Random(21)
         values = [rng.lognormvariate(5.0, 1.5) for _ in range(20_000)]
         values += [0.0] * 37
-        scalar = StreamingLatencyRecorder(seed=4)
-        buffered = StreamingLatencyRecorder(seed=4, buffered=True)
+        # the reference: per-sample adds into a sketch and a reservoir
+        # seeded exactly as the recorder seeds its own
+        sketch = QuantileSketch()
+        reservoir = ReservoirSampler(1024, seed=4)
+        buffered = StreamingLatencyRecorder(seed=4)
         for value in values:
-            scalar.record(value)
+            sketch.add(value)
+            reservoir.add(value)
             buffered.record(value)
         # count must see unflushed samples
-        assert buffered.count == scalar.count == len(values)
-        assert buffered.samples == scalar.samples
-        assert buffered.sketch._buckets == scalar.sketch._buckets
-        a, b = scalar.summary(), buffered.summary()
+        assert buffered.count == sketch.count == len(values)
+        assert buffered.samples == reservoir.samples
+        assert buffered.sketch._buckets == sketch._buckets
+        a, b = sketch.summary(), buffered.summary()
         assert (a.count, a.max_us) == (b.count, b.max_us)
         assert b.mean_us == pytest.approx(a.mean_us, rel=1e-9)
         assert (a.p50_us, a.p95_us, a.p99_us) == (b.p50_us, b.p95_us, b.p99_us)
 
     def test_flush_is_idempotent_and_buffer_drains(self):
-        recorder = StreamingLatencyRecorder(buffered=True)
+        recorder = StreamingLatencyRecorder()
         recorder.record(5.0)
         assert len(recorder.buffer) == 1
         recorder.flush()
@@ -469,37 +473,20 @@ class TestStreamingResultSink:
             assert len(aggregate.latencies.reservoir.samples) <= 32
             assert aggregate.latencies.sketch.bucket_count < 1000
 
-    def test_streaming_device_stats_bound_the_device_side(self):
-        """``streaming_stats=True`` keeps the *device's* recorders O(1) too
-        (the last per-record accumulator), with identical counts and
-        sketch-tolerance summaries."""
-        def build(streaming):
-            sim = Simulator()
-            return sim, SSD(sim, SSDConfig(
-                n_elements=4, geometry=small_geometry(),
-                controller_overhead_us=5.0, streaming_stats=streaming,
-            ))
-
-        sim_e, exact_dev = build(False)
-        sim_s, streaming_dev = build(True)
-        trace = generate_synthetic(SyntheticConfig(
-            count=3000, region_bytes=int(exact_dev.capacity_bytes * 0.5),
-            request_bytes=KB4, read_fraction=0.5, interarrival_max_us=100.0,
-            seed=4,
-        ))
-        replay_trace(sim_e, exact_dev, list(trace))
-        replay_trace(sim_s, streaming_dev, list(trace))
-        for attr in ("reads", "writes"):
-            exact = getattr(exact_dev.stats, attr)
-            stream = getattr(streaming_dev.stats, attr)
-            assert stream.count == exact.count
-            # exact recorder retains everything; streaming one a reservoir
-            assert len(exact.samples) == exact.count
-            assert len(stream.samples) <= 1024
-            a, b = exact.summary(), stream.summary()
-            assert b.mean_us == pytest.approx(a.mean_us, rel=1e-9)
-            assert b.max_us == a.max_us
-            assert b.p95_us == pytest.approx(a.p95_us, rel=0.03)
+    def test_device_stats_are_int_counters(self):
+        """The device keeps plain O(1) counters and no latency samples:
+        after a mixed replay every ``DeviceStats`` slot is an ``int``, and
+        its per-op request counts equal the result sink's."""
+        result, _, device = self._replay(StreamingResult(), count=3000,
+                                         seed=4)
+        stats = device.stats
+        for name in type(stats).__slots__:
+            assert type(getattr(stats, name)) is int, name
+        reads = result.latency(op=OpType.READ).count
+        writes = result.latency(op=OpType.WRITE).count
+        assert reads and writes
+        assert (stats.reads, stats.writes) == (reads, writes)
+        assert stats.reads + stats.writes == result.count
 
     def test_empty_filters_return_zero_summary(self):
         streaming, _, _ = self._replay(StreamingResult())
